@@ -24,13 +24,9 @@ from repro.field import ShockPlaneSize
 from repro.mesh import rect_tri
 from repro.mesh.quality import measure
 from repro.mesh.verify import verify
-from repro.partition import (
-    adapt_distributed,
-    distribute,
-    load_dmesh,
-    save_dmesh,
-)
+from repro.partition import adapt_distributed, distribute
 from repro.partitioners import partition
+from repro.store import SnapshotStore
 
 
 def total_area(dm):
@@ -72,8 +68,9 @@ def main() -> None:
           f"{dm.entity_counts()[:, 2].tolist()}")
 
     with tempfile.TemporaryDirectory() as ckpt:
-        save_dmesh(dm, ckpt)
-        restored = load_dmesh(ckpt, model=mesh.model)
+        store = SnapshotStore(ckpt)
+        store.save(dm)
+        restored, _fields, _stats = store.load_at(model=mesh.model)
         restored.verify()
         print(f"checkpoint round-trip verified "
               f"({restored.entity_counts()[:, 2].sum()} elements)")

@@ -11,10 +11,15 @@ by passing ``sanitize=True`` to :func:`repro.parallel.executor.spmd`,
   wrapped by :func:`freeze` into read-only containers; any in-place mutation
   raises :class:`PayloadAliasError` at the mutation site instead of silently
   corrupting the sender.  Frozen containers subclass ``list``/``dict``/``set``
-  so ``isinstance`` checks and equality keep working, and they pickle back to
-  the *plain* type, so an off-node copy of a frozen payload is mutable again
-  (exactly the MPI distributed-memory semantics).  NumPy arrays are frozen as
-  read-only views (NumPy raises its own ``ValueError`` on write).
+  so ``isinstance`` checks and equality keep working, and their
+  ``__reduce__`` copies back to the *plain* type, so a
+  :class:`~repro.parallel.comm.CommWorld` off-node copy of a frozen payload
+  is mutable again (exactly the MPI distributed-memory semantics).  The part
+  network's closed binary codec encodes only the plain types, so forwarding
+  a frozen payload off-node raises
+  :class:`~repro.parallel.codec.CodecError` — copy it first.  NumPy arrays
+  are frozen as read-only views (NumPy raises its own ``ValueError`` on
+  write).
 
 * **collective-order sanitizer** — every collective entry stamps
   ``(context, sequence) -> operation`` into a world-level ledger; the first

@@ -154,8 +154,7 @@ def cmd_balance(args) -> int:
         mesh, args.parts, method=args.method, seed=args.seed, eps=args.eps
     )
     dmesh = distribute(
-        mesh, assignment, nparts=args.parts, sanitize=args.sanitize,
-        codec=args.codec,
+        mesh, assignment, nparts=args.parts, sanitize=args.sanitize
     )
     balancer = ParMA(dmesh)
     before = (imbalances(dmesh.entity_counts()) - 1) * 100
@@ -298,9 +297,7 @@ def cmd_chaos(args) -> int:
     ckdir = Path(args.checkpoint_dir) if args.checkpoint_dir else (
         outdir / "checkpoints"
     )
-    manager = CheckpointManager(
-        ckdir, keep=args.keep, backend=getattr(args, "backend", "dmesh")
-    )
+    manager = CheckpointManager(ckdir, keep=args.keep)
 
     tracer = obs.Tracer(counters=GLOBAL)
     obs.install(tracer)
@@ -581,12 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run with the runtime sanitizers on (alias freeze proxies)",
     )
-    p_bal.add_argument(
-        "--codec",
-        choices=("binary", "pickle"),
-        default="binary",
-        help="wire codec for the part networks (pickle = A/B escape hatch)",
-    )
     p_bal.set_defaults(fn=cmd_balance)
 
     p_bench = sub.add_parser("bench", help="how to run the benchmarks")
@@ -665,13 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help="recovery budget before giving up (default: 3)",
-    )
-    p_chaos.add_argument(
-        "--backend",
-        choices=("dmesh", "store"),
-        default="dmesh",
-        help="checkpoint epoch format (store = chunked differential "
-        "repro.store/1 epochs; default: dmesh)",
     )
     p_chaos.add_argument(
         "--out", default="chaos-out", help="output directory (created)"

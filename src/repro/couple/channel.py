@@ -29,7 +29,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..parallel.codec import dumps, loads
+from ..parallel.codec import CodecError, dumps, loads
 from ..parallel.perf import GLOBAL, PerfCounters
 
 __all__ = [
@@ -219,7 +219,12 @@ class FieldFrame:
 
     @classmethod
     def decode(cls, blob: bytes) -> "FieldFrame":
-        doc = loads(blob)
+        try:
+            doc = loads(blob)
+        except CodecError as exc:
+            raise CoupleError(
+                f"undecodable {FRAME_SCHEMA} frame: {exc}"
+            ) from None
         if not isinstance(doc, dict) or doc.get("schema") != FRAME_SCHEMA:
             raise CoupleError(
                 f"not a {FRAME_SCHEMA} frame: "

@@ -25,7 +25,7 @@ from .comm import (
 )
 from .executor import RankFailure, SpmdError, spmd
 from .neighbors import dense_exchange, neighbor_exchange
-from .network import CODECS, Message, Network, wire_size
+from .network import Message, Network, wire_size
 from .perf import GLOBAL, PerfCounters, TimerStat
 from .routing import BufferedRouter, NodeRouter
 from .sf import (
@@ -54,7 +54,6 @@ __all__ = [
     "ANY_TAG",
     "BUNDLES",
     "BufferedRouter",
-    "CODECS",
     "CodecError",
     "CollectiveMismatchError",
     "Comm",

@@ -1,14 +1,13 @@
 """Compact binary wire codec for the simulated message-passing runtime.
 
-The distributed-mesh services historically shipped one pickled Python dict
-per migrated/ghosted element and one pickled tuple per synchronized field
-value.  Pickle is general but verbose: every record repeats dict keys,
-type markers and framing, which inflates the off-node ``wire_bytes`` the
-network charges and the wall time every hot path pays to serialize.  This
-module provides the compact alternative the paper's communication volumes
-assume (Section II-D "message buffer management"): per-destination batches
-encoded as struct-packed typed arrays with interned global-id and
-classification tables.
+This is the one format that crosses a part boundary or reaches disk: the
+network charges and copies off-node messages through it, the star-forest
+services ship coalesced batches in it, and snapshot chunks and coupling
+frames are stored in it.  It is the compact encoding the paper's
+communication volumes assume (Section II-D "message buffer management"):
+per-destination batches encoded as struct-packed typed arrays with
+interned global-id and classification tables.  The format is *closed*:
+it encodes a fixed set of value types, and decoding never executes data.
 
 Wire format (``RW`` frames, version 1)
 --------------------------------------
@@ -19,13 +18,13 @@ Every buffer starts with a fixed 14-byte little-endian header::
     0       2     magic  b"RW"
     2       1     version (currently 1)
     3       1     kind    (payload schema, below)
-    4       1     flags   (bit 0: body contains pickled fallback records)
+    4       1     flags   (reserved, must be 0)
     5       1     reserved (zero)
     6       4     body length (bytes after the header)
     10      4     CRC-32 of the body
 
 The CRC is validated *before* any decoding, so truncated or bit-flipped
-buffers raise :class:`CodecError` instead of unpickling garbage.  Kinds:
+buffers raise :class:`CodecError` instead of decoding garbage.  Kinds:
 
 ====  =======================  =============================================
 kind  constructor              schema
@@ -37,18 +36,17 @@ kind  constructor              schema
 ====  =======================  =============================================
 
 Versioning rule: decoders accept exactly the versions they know; any other
-version byte raises :class:`CodecError` (the escape hatch is the pickle
-codec, selected per :class:`~repro.partition.dmesh.DistributedMesh`).
-Standalone integers use LEB128 (zigzag for signed).  Bulk integer columns
-are *adaptive width*: one prefix byte (1/2/4/8) chosen from the column's
-value range, then the raw little-endian column at that width — so ref and
-global-id columns usually cost 1-2 bytes per entry instead of pickle's
-framed small-int records.  Coordinate/value columns are raw ``<f8``.
+version byte, a non-zero flags byte, an unknown kind or an unknown value
+tag raises :class:`CodecError`, and so does encoding a value of a type the
+format does not define.  Standalone integers use LEB128 (zigzag for
+signed).  Bulk integer columns are *adaptive width*: one prefix byte
+(1/2/4/8) chosen from the column's value range, then the raw little-endian
+column at that width — so ref and global-id columns usually cost 1-2 bytes
+per entry.  Coordinate/value columns are raw ``<f8``.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 import zlib
 from typing import Any, Dict, List, Sequence, Tuple
@@ -59,6 +57,7 @@ from ..mesh.entity import Ent
 
 __all__ = [
     "CodecError",
+    "CorruptedPayload",
     "MAGIC",
     "VERSION",
     "dumps",
@@ -80,9 +79,6 @@ KIND_VALUES = 2
 KIND_INT_ROWS = 3
 _KINDS = (KIND_VALUE, KIND_ELEMENTS, KIND_VALUES, KIND_INT_ROWS)
 
-#: Header flag: the body contains at least one pickled fallback record.
-FLAG_PICKLED = 0x01
-
 _HEADER = struct.Struct("<2sBBBxII")
 HEADER_SIZE = _HEADER.size  # 14
 
@@ -91,14 +87,36 @@ class CodecError(ValueError):
     """A wire buffer failed validation (magic, version, length, CRC, schema)."""
 
 
+class CorruptedPayload:
+    """Sentinel replacing a message payload corrupted by fault injection.
+
+    Any receiver that unpacks or calls the payload fails with an ordinary
+    ``TypeError`` — exactly what bit-flipped wire data produces — while the
+    injector's record trail still identifies the failure as injected.  The
+    codec gives it its own value tag, so a corrupted message still crosses
+    the wire like any other payload.
+    """
+
+    def __init__(self, original_type: str = "?") -> None:
+        self.original_type = original_type
+
+    def __repr__(self) -> str:
+        return f"CorruptedPayload(was {self.original_type})"
+
+    def __iter__(self):
+        raise TypeError(
+            f"payload corrupted by fault injection (was {self.original_type})"
+        )
+
+
 # ---------------------------------------------------------------------------
 # framing
 # ---------------------------------------------------------------------------
 
 
-def _frame(kind: int, flags: int, body: bytes) -> bytes:
+def _frame(kind: int, body: bytes) -> bytes:
     return _HEADER.pack(
-        MAGIC, VERSION, kind, flags, len(body), zlib.crc32(body) & 0xFFFFFFFF
+        MAGIC, VERSION, kind, 0, len(body), zlib.crc32(body) & 0xFFFFFFFF
     ) + body
 
 
@@ -107,11 +125,13 @@ def _unframe(data: Any, expect_kind: int) -> memoryview:
     buf = memoryview(data).cast("B") if not isinstance(data, bytes) else data
     if len(buf) < HEADER_SIZE:
         raise CodecError(f"buffer too short for header ({len(buf)} bytes)")
-    magic, version, kind, _flags, body_len, crc = _HEADER.unpack_from(buf, 0)
+    magic, version, kind, flags, body_len, crc = _HEADER.unpack_from(buf, 0)
     if magic != MAGIC:
         raise CodecError(f"bad magic {bytes(magic)!r} (expected {MAGIC!r})")
     if version != VERSION:
         raise CodecError(f"unsupported codec version {version}")
+    if flags:
+        raise CodecError(f"reserved flags byte is {flags:#04x}, not 0")
     if kind not in _KINDS:
         raise CodecError(f"unknown payload kind {kind}")
     if kind != expect_kind:
@@ -301,13 +321,13 @@ _T_FROZENSET = 12
 _T_NDARRAY = 13
 _T_ENT = 14
 _T_NPSCALAR = 15
-_T_PICKLE = 255
+_T_CORRUPTED = 16
 
 _F64 = struct.Struct("<d")
 _F64X3 = struct.Struct("<3d")
 
 
-def _enc(obj: Any, out: bytearray, state: List[int]) -> None:
+def _enc(obj: Any, out: bytearray) -> None:
     if obj is None:
         out.append(_T_NONE)
     elif obj is True:
@@ -341,18 +361,18 @@ def _enc(obj: Any, out: bytearray, state: List[int]) -> None:
         out.append(_T_TUPLE)
         _w_uint(out, len(obj))
         for item in obj:
-            _enc(item, out, state)
+            _enc(item, out)
     elif type(obj) is list:
         out.append(_T_LIST)
         _w_uint(out, len(obj))
         for item in obj:
-            _enc(item, out, state)
+            _enc(item, out)
     elif type(obj) is dict:
         out.append(_T_DICT)
         _w_uint(out, len(obj))
         for key, value in obj.items():
-            _enc(key, out, state)
-            _enc(value, out, state)
+            _enc(key, out)
+            _enc(value, out)
     elif type(obj) in (set, frozenset):
         # Items are re-sorted by their encoded form so the encoding is a
         # pure function of the set's *contents* (hash order is not).
@@ -361,7 +381,7 @@ def _enc(obj: Any, out: bytearray, state: List[int]) -> None:
         encoded = []
         for item in obj:
             piece = bytearray()
-            _enc(item, piece, state)
+            _enc(item, piece)
             encoded.append(bytes(piece))
         for piece in sorted(encoded):
             out += piece
@@ -381,14 +401,15 @@ def _enc(obj: Any, out: bytearray, state: List[int]) -> None:
         _w_uint(out, len(dt))
         out += dt
         out += raw.tobytes()
-    else:
-        # Escape hatch for exotic types (custom classes, object arrays):
-        # a pickled record, flagged in the frame header.
-        raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        out.append(_T_PICKLE)
+    elif type(obj) is CorruptedPayload:
+        raw = obj.original_type.encode("utf-8")
+        out.append(_T_CORRUPTED)
         _w_uint(out, len(raw))
         out += raw
-        state[0] |= FLAG_PICKLED
+    else:
+        raise CodecError(
+            f"cannot encode a value of type {type(obj).__name__}"
+        )
 
 
 def _take(buf, pos: int, n: int) -> Tuple[memoryview, int]:
@@ -464,7 +485,7 @@ def _dec(buf, pos: int, end: int) -> Tuple[Any, int]:
             count *= extent
         arr, pos = _r_array(buf, pos, count, dt)
         # .copy() makes the result writable and independent of the buffer,
-        # matching the mutability pickle-delivered arrays always had.
+        # so a received array is the receiver's own to mutate.
         return arr.reshape(shape).copy(), pos
     if tag == _T_NPSCALAR:
         n, pos = _r_uint(buf, pos, end)
@@ -472,19 +493,18 @@ def _dec(buf, pos: int, end: int) -> Tuple[Any, int]:
         dt = np.dtype(str(raw, "ascii"))
         arr, pos = _r_array(buf, pos, 1, dt)
         return arr[0], pos
-    if tag == _T_PICKLE:
+    if tag == _T_CORRUPTED:
         n, pos = _r_uint(buf, pos, end)
         raw, pos = _take(buf, pos, n)
-        return pickle.loads(raw), pos
+        return CorruptedPayload(str(raw, "utf-8")), pos
     raise CodecError(f"unknown value tag {tag}")
 
 
 def dumps(obj: Any) -> bytes:
     """Encode one generic value as a kind-0 frame."""
     out = bytearray()
-    state = [0]
-    _enc(obj, out, state)
-    return _frame(KIND_VALUE, state[0], bytes(out))
+    _enc(obj, out)
+    return _frame(KIND_VALUE, bytes(out))
 
 
 def loads(data: Any) -> Any:
@@ -633,7 +653,6 @@ def encode_element_batch(bundles: Sequence[dict]) -> bytes:
         extras_rows.append((extras, bundle.get("tags"), bundle.get("home")))
 
     out = bytearray()
-    state = [0]
     _w_uint(out, len(extras_rows))
 
     # Section 1: classification table (zigzag dim, tag pairs).
@@ -679,14 +698,14 @@ def encode_element_batch(bundles: Sequence[dict]) -> bytes:
     # LEB-coded home handles).
     for extras, tags, home in extras_rows:
         if extras & _X_TAGS:
-            _enc(tags, out, state)
+            _enc(tags, out)
         if extras & _X_HOME:
             pid, ent = home
             _w_uint(out, int(pid))
             _w_uint(out, ent.dim)
             _w_int(out, ent.idx)
 
-    return _frame(KIND_ELEMENTS, state[0], bytes(out))
+    return _frame(KIND_ELEMENTS, bytes(out))
 
 
 def decode_element_batch(data: Any) -> List[dict]:
@@ -814,7 +833,6 @@ def encode_value_batch(items: Sequence[Tuple[Ent, np.ndarray]]) -> bytes:
     batches fall back to per-value generic records.
     """
     out = bytearray()
-    state = [0]
     _w_uint(out, len(items))
     _w_array(out, [ent.dim for ent, _v in items], "u1")
     _w_ints(out, [ent.idx for ent, _v in items])
@@ -835,8 +853,8 @@ def encode_value_batch(items: Sequence[Tuple[Ent, np.ndarray]]) -> bytes:
             out += stacked.tobytes()
     else:
         for value in arrays:
-            _enc(value, out, state)
-    return _frame(KIND_VALUES, state[0], bytes(out))
+            _enc(value, out)
+    return _frame(KIND_VALUES, bytes(out))
 
 
 def decode_value_batch(data: Any) -> List[Tuple[Ent, np.ndarray]]:
@@ -888,7 +906,7 @@ def encode_int_rows(rows: Sequence[Sequence[int]]) -> bytes:
     _w_uint(out, len(rows))
     _w_uints(out, [len(row) for row in rows])
     _w_ints(out, [value for row in rows for value in row])
-    return _frame(KIND_INT_ROWS, 0, bytes(out))
+    return _frame(KIND_INT_ROWS, bytes(out))
 
 
 def decode_int_rows(data: Any) -> List[Tuple[int, ...]]:

@@ -139,8 +139,11 @@ def spmd(
     timeout:
         Per-receive deadlock timeout in seconds; ``None`` disables it.
     copy_off_node:
-        Whether off-node payloads are deep-copied through pickle (MPI
-        semantics).  Disable only for trusted read-only payloads.
+        Whether off-node rank messages are deep-copied (MPI semantics).
+        :class:`~repro.parallel.comm.CommWorld` copies in-process rank
+        messages with a pickle round-trip; those bytes never leave the
+        process or reach disk, so they are not wire-format data.  Disable
+        only for trusted read-only payloads.
     sanitize:
         Enable the runtime sanitizers (alias freeze proxies, collective-order
         cross-checking, wait-for-graph deadlock detection).  ``None`` (the

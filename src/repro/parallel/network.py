@@ -12,18 +12,15 @@ when built with a :class:`~repro.parallel.topology.MachineTopology`,
 classifies traffic as on-node (shared memory: implicit copies in the paper's
 architecture-aware representation) versus off-node (explicit, serialized
 messages in distributed memory).  Off-node messages are size-accounted by
-the network's wire codec — the compact binary format of
-:mod:`repro.parallel.codec` by default, or pickle (the wire format mpi4py
-uses for generic objects) behind the ``codec="pickle"`` escape hatch —
-while on-node messages are passed by reference and charged zero wire bytes,
-which is precisely the memory/communication saving the two-level design
-targets.  Pre-encoded ``bytes`` payloads (the services' coalesced batches)
-are charged their own length and never re-serialized.
+the binary wire codec of :mod:`repro.parallel.codec`, while on-node messages
+are passed by reference and charged zero wire bytes, which is precisely the
+memory/communication saving the two-level design targets.  Pre-encoded
+``bytes`` payloads (the services' coalesced batches) are charged their own
+length and never re-serialized.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -36,23 +33,17 @@ from .topology import MachineTopology, flat
 #: A delivered message: (source part, tag, payload).
 Message = Tuple[int, int, Any]
 
-#: Wire codecs the network accepts.
-CODECS = ("binary", "pickle")
 
-
-def wire_size(payload: Any, codec: str = "pickle") -> int:
-    """Number of bytes ``payload`` occupies when serialized for the wire.
+def wire_size(payload: Any) -> int:
+    """Number of bytes ``payload`` occupies on the wire.
 
     Pre-encoded buffers (``bytes``/``bytearray``) are charged their own
-    length under either codec; other payloads are serialized with the
-    requested codec (``"pickle"``, the historical default, or ``"binary"``
-    for the compact :mod:`repro.parallel.codec` format).
+    length; other payloads are charged their :mod:`repro.parallel.codec`
+    encoding — exactly what :class:`Network` charges off-node.
     """
     if isinstance(payload, (bytes, bytearray, memoryview)):
         return len(payload)
-    if codec == "binary":
-        return len(_codec.dumps(payload))
-    return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+    return len(_codec.dumps(payload))
 
 
 class Network:
@@ -74,22 +65,19 @@ class Network:
         Performance-counter registry; defaults to the module-global one.
     copy_off_node:
         When true (default), off-node payloads are round-tripped through
-        pickle so that sender and receiver never alias mutable state — the
-        distributed-memory semantics real MPI provides.  On-node payloads are
-        always shared by reference (the paper's implicit shared-memory
-        representation).
+        the binary codec so that sender and receiver never alias mutable
+        state — the distributed-memory semantics real MPI provides.  When
+        false (the trusted channel) off-node payloads are still encoded for
+        the byte charge but delivered by reference, saving the decode.
+        On-node payloads are always shared by reference (the paper's
+        implicit shared-memory representation).  Payloads that are already
+        ``bytes`` (pre-encoded batches) are charged their own length and
+        delivered as-is.
     sanitize:
         Alias-sanitizer mode: payloads that would be delivered by reference
         are wrapped in read-only freeze proxies that raise
         :class:`~repro.analysis.sanitizers.PayloadAliasError` on mutation.
         Defaults to the ``REPRO_SANITIZE`` environment variable.
-    codec:
-        Wire serialization used for off-node byte accounting and copy
-        isolation: ``"binary"`` (default) uses the compact
-        :mod:`repro.parallel.codec` format, ``"pickle"`` is the historical
-        escape hatch kept for A/B measurement.  Payloads that are already
-        ``bytes`` (pre-encoded batches) are charged their own length and
-        delivered as-is under either codec.
     tracer:
         Optional :class:`~repro.obs.Tracer`; when attached and enabled,
         every exchange closes one traced superstep and charges each
@@ -111,15 +99,12 @@ class Network:
         topology: Optional[MachineTopology] = None,
         counters: Optional[PerfCounters] = None,
         copy_off_node: bool = True,
-        codec: str = "binary",
         sanitize: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
         fault_injector: Optional[Any] = None,
     ) -> None:
         if nparts < 1:
             raise ValueError(f"need at least one part, got {nparts}")
-        if codec not in CODECS:
-            raise ValueError(f"unknown codec {codec!r} (expected {CODECS})")
         self.nparts = nparts
         self.topology = topology if topology is not None else flat(nparts)
         if self.topology.total_cores < nparts:
@@ -129,7 +114,6 @@ class Network:
             )
         self.counters = counters if counters is not None else GLOBAL
         self.copy_off_node = copy_off_node
-        self.codec = codec
         self.sanitize = sanitize_default() if sanitize is None else bool(sanitize)
         self.tracer = tracer
         self.fault_injector = fault_injector
@@ -225,21 +209,12 @@ class Network:
                     if self.copy_off_node:
                         payload = bytes(payload)
                         by_reference = False
-                elif self.codec == "binary":
+                else:
                     blob = _codec.dumps(payload)
                     nbytes = len(blob)
                     self.counters.add("net.bytes.off_node", nbytes)
                     if self.copy_off_node:
                         payload = _codec.loads(blob)
-                        by_reference = False
-                else:
-                    blob = pickle.dumps(
-                        payload, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                    nbytes = len(blob)
-                    self.counters.add("net.bytes.off_node", nbytes)
-                    if self.copy_off_node:
-                        payload = pickle.loads(blob)
                         by_reference = False
             if tracer is not None:
                 tracer.on_message(src, dst, nbytes)

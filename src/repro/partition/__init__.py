@@ -14,13 +14,6 @@ from .dadapt import (
 from .distribute import distribute
 from .dmesh import DistributedMesh
 from .fieldsync import DistributedField, accumulate, synchronize
-from .io import (
-    CorruptCheckpointError,
-    load_checkpoint,
-    load_dmesh,
-    read_manifest,
-    save_dmesh,
-)
 from .ghosting import Overlap, delete_ghosts, ghost_layer
 from .migration import MigrationPlan, migrate, rebuild_links, surface_closure
 from .multipart import (
@@ -39,7 +32,6 @@ from .pmodel import (
 )
 
 __all__ = [
-    "CorruptCheckpointError",
     "DistributedAdaptStats",
     "DistributedField",
     "DistributedMesh",
@@ -56,9 +48,6 @@ __all__ = [
     "delete_ghosts",
     "distribute",
     "ghost_layer",
-    "load_checkpoint",
-    "load_dmesh",
-    "read_manifest",
     "merge_parts",
     "migrate",
     "move_elements_to_new_part",
@@ -66,7 +55,6 @@ __all__ = [
     "parts_per_node",
     "rebuild_links",
     "refine_distributed",
-    "save_dmesh",
     "spawn_empty_part",
     "surface_closure",
     "synchronize",

@@ -37,7 +37,6 @@ def distribute(
     counters: Optional[PerfCounters] = None,
     sanitize: Optional[bool] = None,
     tracer: Optional[Tracer] = None,
-    codec: str = "binary",
 ) -> DistributedMesh:
     """Split ``mesh`` into a :class:`DistributedMesh` by element assignment.
 
@@ -45,9 +44,7 @@ def distribute(
     dict keyed by element handle, or a sequence aligned with the elements in
     id order.  ``nparts`` defaults to ``max(assignment) + 1``; empty parts
     are allowed.  ``tracer`` is forwarded to the resulting
-    :class:`DistributedMesh` (``None`` resolves to the installed default),
-    as is ``codec`` (the wire codec of the part networks: ``"binary"`` or
-    ``"pickle"``).
+    :class:`DistributedMesh` (``None`` resolves to the installed default).
     """
     dim = mesh.dim()
     if dim < 1:
@@ -81,7 +78,6 @@ def distribute(
         counters=counters,
         sanitize=sanitize,
         tracer=tracer,
-        codec=codec,
     )
 
     with trace_span(dmesh.tracer, "distribute", nparts=nparts):

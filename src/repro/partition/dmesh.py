@@ -22,7 +22,7 @@ import numpy as np
 from ..gmodel.model import Model
 from ..mesh.entity import Ent
 from ..obs.tracer import Tracer, current as current_tracer
-from ..parallel.network import CODECS, Network
+from ..parallel.network import Network
 from ..parallel.perf import PerfCounters, GLOBAL
 from ..parallel.routing import BufferedRouter
 from ..parallel.topology import MachineTopology, flat
@@ -40,19 +40,10 @@ class DistributedMesh:
         counters: Optional[PerfCounters] = None,
         sanitize: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
-        codec: str = "binary",
     ) -> None:
         if nparts < 1:
             raise ValueError(f"need at least one part, got {nparts}")
-        if codec not in CODECS:
-            raise ValueError(f"unknown codec {codec!r} (expected {CODECS})")
         self.model = model
-        #: Wire codec for the part networks and the distributed services'
-        #: batch encoding: ``"binary"`` (default, compact coalesced
-        #: buffers) or ``"pickle"`` (per-record escape hatch for A/B
-        #: measurement).  Assign at any time — :meth:`router`
-        #: re-propagates it to the cached networks.
-        self.codec = codec
         #: Alias-sanitizer mode for the part networks (None = REPRO_SANITIZE).
         self.sanitize = sanitize
         #: Observability hook (:class:`~repro.obs.Tracer`): the part
@@ -114,17 +105,20 @@ class DistributedMesh:
     def router(self, trusted: bool = False) -> BufferedRouter:
         """A coalescing router over the (lazily rebuilt) part network.
 
-        ``trusted`` selects a channel that skips the off-node pickling
-        round-trip; use it only for payloads of immutable values (the link
-        rebuild's integer tuples), where sender/receiver aliasing cannot
-        violate distributed-memory semantics.
+        ``trusted`` selects a channel that charges off-node messages their
+        codec bytes but delivers them by reference, skipping the decode half
+        of the copy round-trip.  :class:`~repro.parallel.routing.BufferedRouter`
+        wraps each part pair's posts in a list — not ``bytes`` — so even
+        pre-encoded batches pay that decode on the copying channel.  Use the
+        trusted one only for payloads of immutable values (the link
+        rebuild's encoded integer rows), where sender/receiver aliasing
+        cannot violate distributed-memory semantics.
         """
         if self._network is None or self._network.nparts != self.nparts:
             self._network = Network(
                 self.nparts,
                 topology=self.topology,
                 counters=self.counters,
-                codec=self.codec,
                 sanitize=self.sanitize,
                 tracer=self.tracer,
                 fault_injector=self.fault_injector,
@@ -134,21 +128,18 @@ class DistributedMesh:
                 topology=self.topology,
                 counters=self.counters,
                 copy_off_node=False,
-                codec=self.codec,
                 sanitize=self.sanitize,
                 tracer=self.tracer,
                 fault_injector=self.fault_injector,
             )
         else:
-            # The tracer / fault-injector / codec attributes may have been
+            # The tracer / fault-injector attributes may have been
             # (re)assigned since the networks were built; keep them
             # pointing at the current ones.
             self._network.tracer = self.tracer
             self._trusted_network.tracer = self.tracer
             self._network.fault_injector = self.fault_injector
             self._trusted_network.fault_injector = self.fault_injector
-            self._network.codec = self.codec
-            self._trusted_network.codec = self.codec
         return BufferedRouter(
             self._trusted_network if trusted else self._network
         )

@@ -43,7 +43,6 @@ before any migration).  Requested tag values travel with the copies.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -109,71 +108,35 @@ class Overlap:
         )
 
 
-_legacy_warned = False
-
-
-def _resolve_overlap(
-    bridge_dim: Optional[int],
-    layers: Optional[int],
-    overlap: Optional[Any],
-    depth: Optional[int],
-) -> Overlap:
+def _resolve_overlap(overlap: Optional[Any], depth: Optional[int]) -> Overlap:
     """Map the accepted argument spellings onto one :class:`Overlap`."""
-    global _legacy_warned
-    legacy = bridge_dim is not None or layers is not None
     if overlap is not None:
-        if legacy or depth is not None:
-            raise ValueError(
-                "pass either overlap= or the bridge_dim/layers/depth "
-                "arguments, not both"
-            )
+        if depth is not None:
+            raise ValueError("pass either overlap= or depth=, not both")
         return Overlap.coerce(overlap)
-    if depth is not None:
-        if legacy:
-            raise ValueError(
-                "pass either depth= or the legacy bridge_dim/layers "
-                "arguments, not both"
-            )
-        return Overlap(depth=depth)
-    if legacy:
-        if not _legacy_warned:
-            _legacy_warned = True
-            warnings.warn(
-                "ghost_layer(bridge_dim=..., layers=...) is deprecated; "
-                "pass overlap=Overlap(depth=..., bridge_dim=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return Overlap(
-            depth=1 if layers is None else layers,
-            bridge_dim=0 if bridge_dim is None else bridge_dim,
-        )
-    return Overlap()
+    return Overlap() if depth is None else Overlap(depth=depth)
 
 
 def ghost_layer(
     dmesh: DistributedMesh,
-    bridge_dim: Optional[int] = None,
-    layers: Optional[int] = None,
-    tags: Sequence[str] = (),
     *,
     overlap: Optional[Any] = None,
     depth: Optional[int] = None,
+    tags: Sequence[str] = (),
 ) -> GhostStats:
     """Create a depth-k ghost overlap; returns a :class:`GhostStats` record.
 
     The overlap is configured with ``overlap=Overlap(...)`` (or the
-    ``depth=k`` shortcut for ``Overlap(depth=k)``); the positional
-    ``bridge_dim``/``layers`` spelling is a deprecated shim that warns once
-    per process and maps onto the same :class:`Overlap`.  ``tags`` lists
-    tag names whose element values are copied along.
+    ``depth=k`` shortcut for ``Overlap(depth=k)``; the default is
+    ``Overlap()``).  ``tags`` lists tag names whose element values are
+    copied along.
 
     ``stats.ghosts_created`` counts ghost *elements*; ``per_dimension``
     additionally counts the closure entities (vertices, edges, faces) the
     copies brought along; ``stats.layers`` echoes the overlap depth and
     ``stats.sf_ops`` the star-forest broadcasts executed (one per ring).
     """
-    ov = _resolve_overlap(bridge_dim, layers, overlap, depth)
+    ov = _resolve_overlap(overlap, depth)
     dim = dmesh.element_dim()
     if not 0 <= ov.bridge_dim < dim:
         raise ValueError(

@@ -31,8 +31,7 @@ from ..parallel.codec import (
 from .dmesh import DistributedMesh
 from .fieldsync import DistributedField
 from .ghosting import _unpack_ghost_batch
-from .migration import _pack_element, _unpack_element
-from .part import Part
+from .migration import _pack_element
 
 _TAG_REQUEST = 10
 _TAG_GHOST = 11
@@ -107,7 +106,6 @@ def _one_layer(
     requests = router.exchange()
 
     # Phase 2: responses with element bundles (deduplicated per requester).
-    binary = dmesh.codec == "binary"
     router = dmesh.router()
     for pid in sorted(requests):
         part = dmesh.part(pid)
@@ -132,10 +130,7 @@ def _one_layer(
                     if part.mesh.tags.find(name) is not None
                 }
                 bundle["home"] = (part.pid, element)
-                if binary:
-                    batches.setdefault(src, []).append(bundle)
-                else:
-                    router.post(part.pid, src, _TAG_GHOST, bundle)
+                batches.setdefault(src, []).append(bundle)
         for src, bundles in sorted(batches.items()):
             blob = encode_element_batch(bundles)
             dmesh.counters.add("net.bytes.encoded", len(blob))
@@ -148,47 +143,18 @@ def _one_layer(
     for pid in sorted(inboxes):
         part = dmesh.part(pid)
         for _src, _tag, payload in inboxes[pid]:
-            if isinstance(payload, (bytes, bytearray)):
-                n, _fresh = _unpack_ghost_batch(
-                    part, decode_element_batch(payload), per_dim
-                )
-                created += n
-            else:
-                created += _unpack_ghost(part, payload, per_dim)
+            n, _fresh = _unpack_ghost_batch(
+                part, decode_element_batch(payload), per_dim
+            )
+            created += n
     dmesh.counters.add("ghosting.elements", created)
     return created, per_dim
-
-
-def _unpack_ghost(part: Part, bundle: dict, per_dim: List[int]) -> int:
-    """Create a ghost element bundle; returns 1 if a new ghost appeared."""
-    mesh = part.mesh
-    home_pid, home_ent = bundle["home"]
-    element_gid = bundle["element"][1]
-    if part.by_gid(bundle["element"][0], element_gid) is not None:
-        return 0  # already present (real element or earlier ghost copy)
-
-    before = [part.gid_index_set(d) for d in range(4)]
-    element = _unpack_element(part, bundle)
-    for d in range(4):
-        for idx in part.gid_index_set(d) - before[d]:
-            ghost = Ent(d, idx)
-            per_dim[d] += 1
-            part.ghosts.add(ghost)
-            if ghost == element:
-                part.ghost_home[ghost] = (home_pid, home_ent)
-            else:
-                part.ghost_home[ghost] = (home_pid, None)
-    for name, value in bundle.get("tags", {}).items():
-        if value is not None:
-            mesh.tag(name).set(element, value)
-    return 1
 
 
 def legacy_synchronize(dfield: DistributedField) -> SyncStats:
     """The pre-SF owner→copy sync, frozen for the parity gate."""
     dmesh = dfield.dmesh
     probe = CommProbe(dmesh.counters)
-    binary = dmesh.codec == "binary"
     sent = 0
     with trace_span(dmesh.tracer, "synchronize", field=dfield.name):
         router = dmesh.router()
@@ -202,14 +168,9 @@ def legacy_synchronize(dfield: DistributedField) -> SyncStats:
                     continue
                 value = field.get(ent)
                 for other_pid, other_ent in sorted(part.remotes[ent].items()):
-                    if binary:
-                        outbound.setdefault((part.pid, other_pid), []).append(
-                            (other_ent, value)
-                        )
-                    else:
-                        router.post(
-                            part.pid, other_pid, _TAG_SYNC, (other_ent, value)
-                        )
+                    outbound.setdefault((part.pid, other_pid), []).append(
+                        (other_ent, value)
+                    )
                     sent += 1
         for (src, dst), items in sorted(outbound.items()):
             blob = encode_value_batch(items)
@@ -220,11 +181,7 @@ def legacy_synchronize(dfield: DistributedField) -> SyncStats:
         for pid in sorted(inboxes):
             field = dfield.on(pid)
             for _src, _tag, payload in inboxes[pid]:
-                if isinstance(payload, (bytes, bytearray)):
-                    for ent, value in decode_value_batch(payload):
-                        field.set(ent, value)
-                else:
-                    ent, value = payload
+                for ent, value in decode_value_batch(payload):
                     field.set(ent, value)
     dmesh.counters.add("fieldsync.values", sent)
     return SyncStats(
@@ -243,7 +200,6 @@ def legacy_accumulate(dfield: DistributedField) -> AccumulateStats:
     """The pre-SF copy→owner accumulation, frozen for the parity gate."""
     dmesh = dfield.dmesh
     probe = CommProbe(dmesh.counters)
-    binary = dmesh.codec == "binary"
     with trace_span(dmesh.tracer, "accumulate", field=dfield.name):
         router = dmesh.router()
         sent = 0
@@ -257,15 +213,9 @@ def legacy_accumulate(dfield: DistributedField) -> AccumulateStats:
                     continue
                 owner = part.owner(ent)
                 owner_ent = part.remotes[ent][owner]
-                if binary:
-                    outbound.setdefault((part.pid, owner), []).append(
-                        (owner_ent, field.get(ent))
-                    )
-                else:
-                    router.post(
-                        part.pid, owner, _TAG_ACCUM,
-                        (owner_ent, field.get(ent)),
-                    )
+                outbound.setdefault((part.pid, owner), []).append(
+                    (owner_ent, field.get(ent))
+                )
                 sent += 1
         for (src, dst), items in sorted(outbound.items()):
             blob = encode_value_batch(items)
@@ -276,11 +226,7 @@ def legacy_accumulate(dfield: DistributedField) -> AccumulateStats:
         for pid in sorted(inboxes):
             field = dfield.on(pid)
             for _src, _tag, payload in inboxes[pid]:
-                if isinstance(payload, (bytes, bytearray)):
-                    for ent, value in decode_value_batch(payload):
-                        field.set(ent, field.get(ent) + value)
-                else:
-                    ent, value = payload
+                for ent, value in decode_value_batch(payload):
                     field.set(ent, field.get(ent) + value)
         sync = legacy_synchronize(dfield)
     return AccumulateStats(

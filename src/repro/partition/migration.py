@@ -223,23 +223,6 @@ def _ensure_entity(part: Part, d: int, gid, etype: int, vert_gids,
     return created
 
 
-def _unpack_element(part: Part, bundle: dict) -> Ent:
-    """Find-or-create the bundle's entities on the destination part."""
-    mesh = part.mesh
-    for gid, coords, gclass in bundle["verts"]:
-        existing = part.by_gid(0, gid)
-        if existing is None:
-            v = mesh.create_vertex(coords, _model_entity(part, gclass))
-            part.set_gid(v, gid)
-        # else: the vertex is already on this part (boundary copy).
-    for d, gid, etype, vert_gids, gclass in sorted(
-        bundle["mids"], key=lambda m: (m[0], m[3])
-    ):
-        _ensure_entity(part, d, gid, etype, vert_gids, gclass)
-    d, gid, etype, vert_gids, gclass = bundle["element"]
-    return _ensure_entity(part, d, gid, etype, vert_gids, gclass)
-
-
 def _unpack_batch(part: Part, bundles) -> List[Ent]:
     """Apply one decoded element batch; returns the elements, bundle order.
 
@@ -397,9 +380,9 @@ def rebuild_links(
     vertex-gid tuple — to the key's home part (sum of the key modulo
     nparts); home parts group arrivals and answer every holder of a
     multiply-held key with the full holder list.  Links of participating
-    parts are then rewritten wholesale.  Payloads are pure integers —
-    shipped as columnar int-row buffers under the binary codec, plain
-    tuples under pickle — so the trusted (no-copy) channel carries them.
+    parts are then rewritten wholesale.  Payloads are pure integers shipped
+    as columnar int-row buffers, so the trusted (no-copy) channel carries
+    them.
 
     ``only_parts`` restricts the rebuild to a set of parts that is *closed
     under sharing* — every part that might share an entity with a member
@@ -407,7 +390,6 @@ def rebuild_links(
     their neighbors, which has that property).  ``None`` rebuilds all.
     """
     nparts = dmesh.nparts
-    binary = dmesh.codec == "binary"
     if only_parts is None:
         participants = list(range(nparts))
     else:
@@ -419,30 +401,19 @@ def rebuild_links(
         for d, idx, key in _surface_entity_ids(part):
             batches.setdefault(sum(key) % nparts, []).append((d, key, idx))
         for home, batch in batches.items():
-            if binary:
-                # Columnar int rows: (dim, local idx, *vertex-gid key).
-                blob = encode_int_rows(
-                    [(d, idx) + key for d, key, idx in batch]
-                )
-                dmesh.counters.add("net.bytes.encoded", len(blob))
-                dmesh.counters.add("net.messages.coalesced", len(batch))
-                router.post(part.pid, home, _TAG_CANDIDATE, blob)
-            else:
-                router.post(part.pid, home, _TAG_CANDIDATE, batch)
+            # Columnar int rows: (dim, local idx, *vertex-gid key).
+            blob = encode_int_rows([(d, idx) + key for d, key, idx in batch])
+            dmesh.counters.add("net.bytes.encoded", len(blob))
+            dmesh.counters.add("net.messages.coalesced", len(batch))
+            router.post(part.pid, home, _TAG_CANDIDATE, blob)
 
     inboxes = router.exchange()
     router = dmesh.router(trusted=True)
     for home in sorted(inboxes):
         groups: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[int, int]]] = {}
         for src, _tag, batch in inboxes[home]:
-            if isinstance(batch, (bytes, bytearray)):
-                for row in decode_int_rows(batch):
-                    groups.setdefault(
-                        (row[0], row[2:]), []
-                    ).append((src, row[1]))
-            else:
-                for d, key, idx in batch:
-                    groups.setdefault((d, key), []).append((src, idx))
+            for row in decode_int_rows(batch):
+                groups.setdefault((row[0], row[2:]), []).append((src, row[1]))
         answers: Dict[int, List[Tuple[int, int, List[Tuple[int, int]]]]] = {}
         for (d, _key), holders in sorted(groups.items()):
             if len(holders) < 2:
@@ -451,21 +422,16 @@ def rebuild_links(
                 others = [(q, j) for q, j in holders if q != pid]
                 answers.setdefault(pid, []).append((d, idx, others))
         for pid, batch in answers.items():
-            if binary:
-                # Rows: (dim, local idx, holder pid/idx pairs flattened).
-                blob = encode_int_rows(
-                    [
-                        (d, idx) + tuple(
-                            value for pair in others for value in pair
-                        )
-                        for d, idx, others in batch
-                    ]
-                )
-                dmesh.counters.add("net.bytes.encoded", len(blob))
-                dmesh.counters.add("net.messages.coalesced", len(batch))
-                router.post(home, pid, _TAG_LINKS, blob)
-            else:
-                router.post(home, pid, _TAG_LINKS, batch)
+            # Rows: (dim, local idx, holder pid/idx pairs flattened).
+            blob = encode_int_rows(
+                [
+                    (d, idx) + tuple(v for pair in others for v in pair)
+                    for d, idx, others in batch
+                ]
+            )
+            dmesh.counters.add("net.bytes.encoded", len(blob))
+            dmesh.counters.add("net.messages.coalesced", len(batch))
+            router.post(home, pid, _TAG_LINKS, blob)
 
     responses = router.exchange()
     participant_set = set(participants)
@@ -488,15 +454,9 @@ def rebuild_links(
     for pid in sorted(responses):
         part = dmesh.part(pid)
         for _src, _tag, batch in responses[pid]:
-            if isinstance(batch, (bytes, bytearray)):
-                for row in decode_int_rows(batch):
-                    d, idx = row[0], row[1]
-                    entry = part.remotes.setdefault(Ent(d, idx), {})
-                    for i in range(2, len(row), 2):
-                        entry[row[i]] = Ent(d, row[i + 1])
-            else:
-                for d, idx, others in batch:
-                    entry = part.remotes.setdefault(Ent(d, idx), {})
-                    for q, j in others:
-                        entry[q] = Ent(d, j)
+            for row in decode_int_rows(batch):
+                d, idx = row[0], row[1]
+                entry = part.remotes.setdefault(Ent(d, idx), {})
+                for i in range(2, len(row), 2):
+                    entry[row[i]] = Ent(d, row[i + 1])
     dmesh.counters.add("migration.relinks")

@@ -1,39 +1,36 @@
 """Checkpoint lifecycle management: rotation, validation, fallback restore.
 
-:class:`CheckpointManager` wraps the ``repro.dmesh/2`` on-disk format of
-:mod:`repro.partition.io` with the operational policy a long run needs:
+:class:`CheckpointManager` wraps the ``repro.store/1`` snapshot store of
+:mod:`repro.store` with the operational policy a long run needs:
 
 * **atomic epochs** — each checkpoint is staged in a ``*.tmp`` directory
-  and renamed into place only after every part file and the hashed
+  and renamed into place only after every chunk file and the hashed
   manifest are durably written, so a crash mid-checkpoint never leaves a
   half-written "latest";
+* **differential epochs** — after the first full snapshot each checkpoint
+  stores only what changed, and rotation compacts the oldest survivor
+  before it deletes a delta's ancestors;
 * **rotation** — keep the last ``keep`` checkpoints, delete older ones;
 * **validated restore with fallback** — :meth:`restore` walks checkpoints
   newest-first, skipping any that fail SHA-256 / schema validation
-  (:class:`CorruptCheckpointError`), and raises :class:`NoCheckpointError`
-  only when none survive;
+  (:class:`CorruptCheckpointError`, including a malformed manifest
+  ``extra``), and raises :class:`NoCheckpointError` only when none
+  survive;
 * **complete state** — mesh topology, tags and distributed-field values
   round-trip through the checkpoint; the ghost configuration is recorded
   in the manifest and re-applied after restore (ghosts themselves are
   reconstructible runtime state);
-* **restart at a different scale** — ``restore(nparts=K)`` regroups the
-  snapshot onto ``K`` parts through the migration rendezvous, the DMPlex
-  result that makes checkpoint/restart independent of job width;
-* **pluggable epoch format** — ``backend="store"`` writes chunked
-  ``repro.store/1`` epochs (:class:`~repro.store.SnapshotStore`):
-  differential after the first full snapshot, chunk-parallel to restore,
-  compacted before rotation ever deletes a delta's ancestors.  Restore
-  dispatches *per checkpoint* on the on-disk format, so directories
-  holding a mix of legacy ``repro.dmesh/2`` and store epochs restore
-  correctly with either backend setting — switching backends mid-run is
-  safe in both directions.
+* **same distribution back** — every epoch records each element's owning
+  part, so a restore at the saved part count returns the distribution that
+  was saved (a ParMA-balanced or adapted partition included);
+* **restart at a different scale** — ``restore(nparts=K)`` loads the
+  snapshot onto ``K`` parts with the store's chunk-parallel read, the
+  DMPlex result that makes checkpoint/restart independent of job width.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,14 +42,12 @@ from ..parallel.topology import MachineTopology
 from ..partition.dmesh import DistributedMesh
 from ..partition.fieldsync import DistributedField
 from ..partition.ghosting import Overlap, ghost_layer
-from ..partition.io import (
-    FORMAT as DMESH_FORMAT,
+from ..store.format import (
     CorruptCheckpointError,
-    load_checkpoint,
-    read_manifest,
-    save_dmesh,
+    element_parts,
+    normalize_ghost_config,
+    read_epoch_manifest,
 )
-from ..store.format import FORMAT as STORE_FORMAT, MANIFEST as _MANIFEST
 from ..store.snapshot import SnapshotStore
 
 __all__ = [
@@ -64,48 +59,9 @@ __all__ = [
 
 logger = logging.getLogger("repro.resilience.checkpoint")
 
-#: Accepted values for :class:`CheckpointManager`'s ``backend``.
-BACKENDS = ("dmesh", "store")
-
 
 class NoCheckpointError(RuntimeError):
     """No valid checkpoint is available to restore from."""
-
-
-def _normalize_ghost_config(config: Any) -> Dict[str, Any]:
-    """Canonicalize any accepted ghost-config spelling.
-
-    Returns ``{"overlap": <overlap dict>, "tags": [names...]}`` — the only
-    form written to manifests.  Legacy manifests/configs with
-    ``bridge_dim``/``layers`` keys map onto the same shape, so restoring an
-    old checkpoint never trips the :func:`ghost_layer` deprecation shim.
-    """
-    if isinstance(config, Overlap):
-        return {"overlap": config.to_dict(), "tags": []}
-    if not isinstance(config, dict):
-        raise TypeError(
-            f"ghost_config must be an Overlap or a dict, "
-            f"got {type(config).__name__}"
-        )
-    config = dict(config)
-    tags = list(config.pop("tags", ()))
-    if "overlap" in config:
-        overlap = Overlap.coerce(config.pop("overlap"))
-        if config:
-            raise ValueError(
-                f"unexpected ghost_config keys: {sorted(config)}"
-            )
-    else:
-        unknown = set(config) - {"bridge_dim", "layers"}
-        if unknown:
-            raise ValueError(
-                f"unexpected ghost_config keys: {sorted(unknown)}"
-            )
-        overlap = Overlap(
-            depth=int(config.get("layers", 1)),
-            bridge_dim=int(config.get("bridge_dim", 0)),
-        )
-    return {"overlap": overlap.to_dict(), "tags": tags}
 
 
 @dataclass(frozen=True)
@@ -124,28 +80,20 @@ class CheckpointManager:
     ----------
     root:
         Directory holding the checkpoints (created if needed).  Each
-        checkpoint is a subdirectory ``ckpt-<index>`` in the backend's
-        format.
+        checkpoint is a ``repro.store/1`` epoch directory
+        ``ckpt-<index>``.
     keep:
         Retain the last ``keep`` checkpoints; older ones are deleted after
         each successful :meth:`save`.  ``keep=0`` is the explicit
         *unlimited* sentinel: rotation is disabled and every checkpoint is
         retained (use ``keep=1`` for "only the latest").
-    backend:
-        On-disk epoch format for new checkpoints: ``"dmesh"`` (default)
-        writes whole-state ``repro.dmesh/2`` directories; ``"store"``
-        writes chunked ``repro.store/1`` epochs, differential against the
-        previous store epoch when one exists.  Reading always dispatches
-        on each checkpoint's own manifest, so either setting restores
-        directories containing a mix of both formats.
     ghost_config:
         Optional ghost configuration recorded in every manifest and
         re-applied by :meth:`restore`, so ghosted workloads resume with
         their halo already rebuilt.  Accepts an
-        :class:`~repro.partition.ghosting.Overlap`, a dict
-        ``{"overlap": Overlap | overlap-dict, "tags": [...]}``, or the
-        legacy keyword dict (``bridge_dim``, ``layers``, ``tags``); all
-        forms are normalized to the overlap form in the manifest.
+        :class:`~repro.partition.ghosting.Overlap` or a dict
+        ``{"overlap": Overlap | overlap-dict, "tags": [...]}``; both forms
+        are normalized to the dict form in the manifest.
     """
 
     PREFIX = "ckpt-"
@@ -155,67 +103,38 @@ class CheckpointManager:
         root: Union[str, Path],
         keep: int = 3,
         ghost_config: Optional[Any] = None,
-        backend: str = "dmesh",
     ) -> None:
         if keep < 0:
             raise ValueError(f"keep must be >= 0, got {keep}")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r} (expected one of {BACKENDS})"
-            )
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.keep = keep
-        self.backend = backend
         self.ghost_config = (
-            _normalize_ghost_config(ghost_config) if ghost_config else None
+            normalize_ghost_config(ghost_config) if ghost_config else None
         )
 
     def _store(self) -> SnapshotStore:
-        """The ``repro.store/1`` view of this directory (shared prefix)."""
+        """The ``repro.store/1`` view of this directory."""
         return SnapshotStore(self.root, prefix=self.PREFIX)
-
-    @staticmethod
-    def _entry_format(path: Path) -> Optional[str]:
-        """The format id a checkpoint directory claims, or ``None``."""
-        try:
-            manifest = json.loads((path / _MANIFEST).read_text())
-        except (OSError, ValueError):
-            return None
-        if isinstance(manifest, dict):
-            fmt = manifest.get("format")
-            return fmt if isinstance(fmt, str) else None
-        return None
 
     # -- enumeration --------------------------------------------------------
 
     def checkpoints(self) -> List[CheckpointInfo]:
-        """All checkpoints on disk, oldest first (both formats).
+        """All checkpoints on disk, oldest first.
 
-        Steps are read from manifests; a checkpoint whose manifest is
-        unreadable is listed with ``step=-1`` (restore will skip it).
+        Steps are read from manifests; a checkpoint whose manifest fails
+        validation is listed with ``step=-1`` (restore will skip it).
+        Staging directories a crash mid-save left behind (``*.tmp``) are
+        never listed.
         """
         infos: List[CheckpointInfo] = []
-        for entry in sorted(self.root.iterdir()):
-            if not entry.is_dir() or not entry.name.startswith(self.PREFIX):
-                continue
-            if entry.name.endswith(".tmp"):
-                continue  # a crash mid-save left this; never valid
+        for index, path in self._store()._indexed_dirs():
             try:
-                index = int(entry.name[len(self.PREFIX):])
-            except ValueError:
-                continue
-            step = -1
-            try:
-                manifest = json.loads((entry / _MANIFEST).read_text())
-                if isinstance(manifest, dict) and manifest.get(
-                    "format"
-                ) in (DMESH_FORMAT, STORE_FORMAT):
-                    step = int(manifest.get("extra", {}).get("step", -1))
-            except (OSError, ValueError, TypeError):
-                pass
-            infos.append(CheckpointInfo(index=index, step=step, path=entry))
-        infos.sort(key=lambda info: info.index)
+                manifest = read_epoch_manifest(path)
+                step = int(manifest.get("extra", {}).get("step", -1))
+            except CorruptCheckpointError:
+                step = -1
+            infos.append(CheckpointInfo(index=index, step=step, path=path))
         return infos
 
     def latest(self) -> Optional[CheckpointInfo]:
@@ -237,21 +156,16 @@ class CheckpointManager:
         """
         latest = self.latest()
         index = latest.index + 1 if latest is not None else 0
-        name = f"{self.PREFIX}{index:06d}"
-        final = self.root / name
-        extra: Dict[str, Any] = {"step": int(step), "index": index}
+        extra: Dict[str, Any] = {
+            "step": int(step),
+            "index": index,
+            "parts": element_parts(dmesh),
+        }
         if self.ghost_config is not None:
             extra["ghost_config"] = self.ghost_config
-        if self.backend == "store":
-            self._store().save(dmesh, fields, extra=extra, index=index)
-        else:
-            staging = self.root / (name + ".tmp")
-            if staging.exists():
-                shutil.rmtree(staging)
-            save_dmesh(dmesh, staging, fields=fields, extra=extra)
-            os.replace(staging, final)
+        info = self._store().save(dmesh, fields, extra=extra, index=index)
         self._rotate()
-        return CheckpointInfo(index=index, step=int(step), path=final)
+        return CheckpointInfo(index=index, step=int(step), path=info.path)
 
     def _rotate(self) -> None:
         if self.keep <= 0:
@@ -260,14 +174,13 @@ class CheckpointManager:
         cut = infos[: max(0, len(infos) - self.keep)]
         if not cut:
             return
-        # A surviving store delta must not lose its ancestors: compact the
-        # oldest survivor into a full epoch before deleting anything.
-        survivors = infos[len(cut):]
-        if survivors and self._entry_format(survivors[0].path) == STORE_FORMAT:
-            try:
-                self._store().compact(survivors[0].index)
-            except CorruptCheckpointError:
-                pass  # restore will skip it and fall back; nothing to save
+        # A surviving delta must not lose its ancestors: compact the oldest
+        # survivor (keep >= 1, so there is one) into a full epoch before
+        # deleting anything.
+        try:
+            self._store().compact(infos[len(cut)].index)
+        except CorruptCheckpointError:
+            pass  # restore will skip it and fall back; nothing to save
         for info in cut:
             shutil.rmtree(info.path, ignore_errors=True)
 
@@ -276,10 +189,7 @@ class CheckpointManager:
     def validate(self, info: CheckpointInfo) -> bool:
         """True when ``info`` passes full integrity validation."""
         try:
-            if self._entry_format(info.path) == STORE_FORMAT:
-                self._store().materialize(info.index)
-            else:
-                load_checkpoint(info.path)
+            self._store().materialize(info.index)
         except CorruptCheckpointError:
             return False
         return True
@@ -296,33 +206,22 @@ class CheckpointManager:
         Walks checkpoints newest-first and skips (does not delete) any that
         fail validation — logging exactly which checkpoint it skipped and
         why — so one corrupt epoch costs one epoch of progress, not the
-        run.  Each checkpoint restores through its own on-disk format
-        (``repro.dmesh/2`` whole-state load or ``repro.store/1`` parallel
-        load).  Re-applies the recorded ghost configuration.  Returns
+        run.  At the saved part count (``nparts=None``) each element goes
+        back to the part that held it; another count re-deals the mesh.
+        Re-applies the recorded ghost configuration.  Returns
         ``(dmesh, fields_by_name, info)``; raises :class:`NoCheckpointError`
         when no checkpoint survives.
         """
         skipped: List[str] = []
         for info in reversed(self.checkpoints()):
             try:
-                if self._entry_format(info.path) == STORE_FORMAT:
-                    dmesh, fields, stats = self._store().load_at(
-                        nparts=nparts,
-                        epoch=info.index,
-                        model=model,
-                        topology=topology,
-                        counters=counters,
-                    )
-                    extra = stats.extra
-                else:
-                    dmesh, fields, manifest = load_checkpoint(
-                        info.path,
-                        model=model,
-                        topology=topology,
-                        counters=counters,
-                        nparts=nparts,
-                    )
-                    extra = manifest.get("extra", {})
+                dmesh, fields, stats = self._store().load_at(
+                    nparts=nparts,
+                    epoch=info.index,
+                    model=model,
+                    topology=topology,
+                    counters=counters,
+                )
             except CorruptCheckpointError as exc:
                 logger.warning(
                     "restore: skipping corrupt checkpoint %s: %s",
@@ -331,9 +230,9 @@ class CheckpointManager:
                 )
                 skipped.append(f"{info.path.name}: {exc}")
                 continue
-            ghost_config = extra.get("ghost_config")
+            ghost_config = stats.extra.get("ghost_config")
             if ghost_config:
-                normalized = _normalize_ghost_config(ghost_config)
+                normalized = normalize_ghost_config(ghost_config)
                 ghost_layer(
                     dmesh,
                     overlap=Overlap.from_dict(normalized["overlap"]),

@@ -55,6 +55,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..parallel.codec import CorruptedPayload
+
 __all__ = [
     "CorruptedPayload",
     "FaultInjector",
@@ -99,26 +101,6 @@ class InjectedRankFailure(InjectedFault):
             else "at rank start"
         )
         super().__init__(f"injected crash of rank {rank} {where}")
-
-
-class CorruptedPayload:
-    """Sentinel replacing a corrupted message payload.
-
-    Any receiver that unpacks or calls the payload fails with an ordinary
-    ``TypeError`` — exactly what bit-flipped wire data produces — while the
-    injector's record trail still identifies the failure as injected.
-    """
-
-    def __init__(self, original_type: str = "?") -> None:
-        self.original_type = original_type
-
-    def __repr__(self) -> str:
-        return f"CorruptedPayload(was {self.original_type})"
-
-    def __iter__(self):
-        raise TypeError(
-            f"payload corrupted by fault injection (was {self.original_type})"
-        )
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,20 @@ The canonical, part-count-agnostic snapshot layer (Hapla et al., arXiv
 manifest (:mod:`repro.store.format`), full/differential epoch chains with
 deterministic compaction and star-forest repartition-on-load
 (:mod:`repro.store.snapshot`), and a content-addressed warm-start cache
-for the serving tier (:mod:`repro.store.cache`).  The resilience layer's
-:class:`~repro.resilience.CheckpointManager` uses this as its ``store``
-backend while still restoring legacy ``repro.dmesh/2`` checkpoints.
+for the serving tier (:mod:`repro.store.cache`).  It is the one checkpoint
+format: the resilience layer's :class:`~repro.resilience.CheckpointManager`
+writes and restores every epoch through :class:`SnapshotStore`.
 """
 
 from .format import (
     DEFAULT_CHUNK_RECORDS,
     FORMAT,
+    CorruptCheckpointError,
     CorruptSnapshotError,
     SnapshotState,
     apply_delta,
     diff_states,
+    element_parts,
     field_checksum,
     owned_gid_set,
     state_from_dmesh,
@@ -33,6 +35,7 @@ from .cache import (
 __all__ = [
     "DEFAULT_CHUNK_RECORDS",
     "FORMAT",
+    "CorruptCheckpointError",
     "CorruptSnapshotError",
     "EpochInfo",
     "SnapshotCache",
@@ -43,6 +46,7 @@ __all__ = [
     "cache_key",
     "current_cache",
     "diff_states",
+    "element_parts",
     "field_checksum",
     "install_cache",
     "owned_gid_set",

@@ -20,13 +20,17 @@ module is that layout for a :class:`~repro.partition.dmesh.DistributedMesh`:
 
 An epoch directory is self-describing: its manifest carries the format id,
 ``kind`` (``"full"`` or ``"delta"``), the parent epoch index for deltas,
-the removal lists a delta applies, and the gid allocation floor.  See
+the removal lists a delta applies, the gid allocation floor, and an
+optional ``extra`` object (the checkpoint manager's step number, ghost
+configuration and element-to-part runs), which the manifest reader
+validates too.  See
 :mod:`repro.store.snapshot` for the store that writes chains of epochs and
 loads them in parallel at any part count.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -39,10 +43,11 @@ from ..mesh.entity import Ent
 from ..parallel import codec
 from ..partition.dmesh import DistributedMesh
 from ..partition.fieldsync import DistributedField
-from ..partition.io import CorruptCheckpointError, _atomic_write_bytes, _sha256
+from ..partition.ghosting import Overlap
 from ..partition.migration import entity_key
 
 __all__ = [
+    "CorruptCheckpointError",
     "FORMAT",
     "MANIFEST",
     "DEFAULT_CHUNK_RECORDS",
@@ -56,6 +61,7 @@ __all__ = [
     "load_chunk",
     "epoch_sections",
     "owned_gid_set",
+    "element_parts",
     "field_checksum",
 ]
 
@@ -71,13 +77,53 @@ DEFAULT_CHUNK_RECORDS = 256
 _FIXED_SECTIONS = ("verts", "elems", "tags")
 
 
+class CorruptCheckpointError(RuntimeError):
+    """A checkpoint failed integrity validation (hash, schema, or parse)."""
+
+
 class CorruptSnapshotError(CorruptCheckpointError):
     """A ``repro.store/1`` epoch failed integrity validation.
 
-    Subclasses :class:`~repro.partition.io.CorruptCheckpointError` so the
-    checkpoint manager's validate/skip/fallback machinery treats corrupt
-    store epochs exactly like corrupt legacy checkpoints.
+    Subclasses :class:`CorruptCheckpointError`, the type the checkpoint
+    manager's validate/skip/fallback machinery catches.
     """
+
+
+def _atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically: tmp file, fsync, rename."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def normalize_ghost_config(config: Any) -> Dict[str, Any]:
+    """Canonical ``{"overlap": <overlap dict>, "tags": [names...]}`` form.
+
+    Accepts an :class:`~repro.partition.ghosting.Overlap` or a dict
+    ``{"overlap": Overlap | overlap-dict, "tags": [...]}`` (both keys
+    optional; the default overlap is ``Overlap()``); raises
+    ``TypeError``/``ValueError`` on anything else, including an overlap
+    the :class:`~repro.partition.ghosting.Overlap` constructor rejects.
+    """
+    if isinstance(config, Overlap):
+        return {"overlap": config.to_dict(), "tags": []}
+    if not isinstance(config, dict):
+        raise TypeError(
+            f"ghost_config must be an Overlap or a dict, "
+            f"got {type(config).__name__}"
+        )
+    unknown = set(config) - {"overlap", "tags"}
+    if unknown:
+        raise ValueError(f"unexpected ghost_config keys: {sorted(unknown)}")
+    overlap = Overlap.coerce(config.get("overlap", Overlap()))
+    return {"overlap": overlap.to_dict(), "tags": list(config.get("tags", ()))}
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +496,10 @@ def read_epoch_manifest(path: Union[str, Path]) -> Dict[str, Any]:
     """Parse and schema-check one epoch manifest.
 
     Raises :class:`CorruptSnapshotError` naming the manifest file on any
-    missing file, bad JSON, wrong format id, or missing key.
+    missing file, bad JSON, wrong format id, missing key, or malformed
+    ``extra`` (not an object, a non-integer or non-finite ``step``, a
+    ``ghost_config`` that :func:`normalize_ghost_config` rejects, or
+    ``parts`` runs that are not ``[pid, count]`` pairs within ``nparts``).
     """
     path = Path(path)
     manifest_path = path / MANIFEST
@@ -479,6 +528,23 @@ def read_epoch_manifest(path: Union[str, Path]) -> Dict[str, Any]:
         raise CorruptSnapshotError(
             f"{manifest_path}: delta epoch names no parent"
         )
+    extra = manifest.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CorruptSnapshotError(
+            f"{manifest_path}: manifest extra is a {type(extra).__name__}, "
+            "not an object"
+        )
+    try:
+        int(extra.get("step", -1))
+        if extra.get("ghost_config"):
+            normalize_ghost_config(extra["ghost_config"])
+        if "parts" in extra:
+            nparts = int(manifest.get("nparts", 1))
+            _check_element_parts(extra["parts"], nparts)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CorruptSnapshotError(
+            f"{manifest_path}: malformed manifest extra: {exc}"
+        ) from None
     return manifest
 
 
@@ -592,6 +658,44 @@ def owned_gid_set(dmesh: DistributedMesh, dim: int) -> frozenset:
             if part.owns(ent) and not part.is_ghost(ent):
                 out.add(part.gid(ent))
     return frozenset(out)
+
+
+def element_parts(dmesh: DistributedMesh) -> List[List[int]]:
+    """Owning part of every element as ``[pid, count]`` runs in gid order.
+
+    Recorded as ``extra["parts"]`` of an epoch, it makes a load at the
+    saved part count deal each element back to the part that held it
+    (see :meth:`~repro.store.snapshot.SnapshotStore.load_at`); the records
+    themselves stay part-count-agnostic.
+    """
+    dim = dmesh.element_dim()
+    owner: Dict[int, int] = {}
+    for part in dmesh:
+        for ent in part.mesh.entities(dim):
+            if not part.is_ghost(ent):
+                owner.setdefault(part.gid(ent), part.pid)
+    runs: List[List[int]] = []
+    for gid in sorted(owner):
+        if runs and runs[-1][0] == owner[gid]:
+            runs[-1][1] += 1
+        else:
+            runs.append([owner[gid], 1])
+    return runs
+
+
+def _check_element_parts(runs: Any, nparts: int) -> None:
+    """Raise ``ValueError`` unless ``runs`` is a valid :func:`element_parts`."""
+    if not isinstance(runs, list):
+        raise ValueError(f"parts is a {type(runs).__name__}, not a list")
+    for run in runs:
+        if (
+            not isinstance(run, list)
+            or len(run) != 2
+            or not all(type(x) is int for x in run)
+            or not 0 <= run[0] < nparts
+            or run[1] < 1
+        ):
+            raise ValueError(f"bad parts run {run!r} for {nparts} parts")
 
 
 def field_checksum(dmesh: DistributedMesh, dfield: DistributedField) -> float:

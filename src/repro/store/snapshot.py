@@ -14,9 +14,11 @@ Loading is the Hapla et al. (arXiv 2004.08729) parallel read: the target
 parts each take a *disjoint contiguous range of chunks* across the whole
 chain, decode them locally, and one
 :class:`~repro.parallel.sf.StarForest` bcast redistributes every record to
-the part that owns it under the target partition — elements dealt in
-contiguous sorted-gid blocks, vertices/tags/fields to the parts whose
-elements reference them.  Restoring a snapshot written at 4 parts onto
+the part that owns it under the target partition — elements dealt back
+to their saved parts when the epoch records them (``extra["parts"]``, see
+:func:`~repro.store.format.element_parts`) and the part count is
+unchanged, otherwise in contiguous sorted-gid blocks; vertices/tags/fields
+to the parts whose elements reference them.  Restoring a snapshot written at 4 parts onto
 1, 2 or 8 parts yields identical owned-gid sets and field checksums; the
 wire traffic is charged to ``sf.*``/``net.*`` counters and the comm
 matrix like every other distributed service, plus ``store.*`` counters
@@ -42,8 +44,8 @@ from ..parallel.sf import StarForest
 from ..parallel.topology import MachineTopology
 from ..partition.dmesh import DistributedMesh
 from ..partition.fieldsync import DistributedField
-from ..partition.io import _key_index, _restore_intermediate_gids
-from ..partition.migration import rebuild_links
+from ..partition.migration import entity_key, rebuild_links
+from ..partition.part import Part
 from .format import (
     DEFAULT_CHUNK_RECORDS,
     FORMAT,
@@ -141,8 +143,7 @@ class SnapshotStore:
         subdirectory ``<prefix><index>``.
     prefix:
         Epoch directory name prefix.  The checkpoint manager passes its
-        own ``ckpt-`` prefix so store epochs and legacy ``repro.dmesh/2``
-        checkpoints share one rotation namespace.
+        own ``ckpt-`` prefix.
     chunk_records:
         Records per chunk file; the parallelism floor of a load is
         ``total chunks``, so smaller chunks spread reads wider.
@@ -200,8 +201,8 @@ class SnapshotStore:
     def next_index(self) -> int:
         """One past the highest index of *any* sibling directory.
 
-        Legacy checkpoints sharing the prefix count too, so a manager that
-        switches backends keeps a single monotone index sequence.
+        Directories with unreadable manifests count too, so the index
+        sequence stays monotone past a corrupt epoch.
         """
         dirs = self._indexed_dirs()
         return dirs[-1][0] + 1 if dirs else 0
@@ -224,8 +225,7 @@ class SnapshotStore:
     def epochs(self) -> List[EpochInfo]:
         """All store-format epochs with readable manifests, oldest first.
 
-        Directories in other formats (e.g. legacy ``repro.dmesh/2``
-        checkpoints under a shared prefix) and unreadable manifests are
+        Directories whose manifests are unreadable or fail validation are
         skipped; :meth:`inspect` reports them.
         """
         infos: List[EpochInfo] = []
@@ -447,7 +447,6 @@ class SnapshotStore:
         topology: Optional[MachineTopology] = None,
         counters: Optional[PerfCounters] = None,
         tracer: Optional[Tracer] = None,
-        codec: str = "binary",
         sanitize: Optional[bool] = None,
     ) -> Tuple[DistributedMesh, Dict[str, DistributedField], StoreStats]:
         """Parallel restore at any part count; ``(dmesh, fields, stats)``.
@@ -455,8 +454,10 @@ class SnapshotStore:
         Each target part reads a disjoint contiguous range of the chain's
         chunks and decodes them locally; a single star-forest bcast then
         moves every live record to the parts that need it under the target
-        partition (elements in contiguous sorted-gid blocks, vertices and
-        tag/field records to every part whose elements reference them).
+        partition (elements to their saved parts when the epoch records
+        ``extra["parts"]`` and ``nparts`` is the saved count, else in
+        contiguous sorted-gid blocks; vertices and tag/field records to
+        every part whose elements reference them).
         The result carries rebuilt remote-copy links and re-derived
         intermediate-entity gids — structurally verified equal to a fresh
         distribution of the same mesh.
@@ -482,7 +483,6 @@ class SnapshotStore:
             counters=use_counters,
             sanitize=sanitize,
             tracer=use_tracer,
-            codec=codec,
         )
         probe = CommProbe(use_counters)
         before = {
@@ -602,17 +602,29 @@ class SnapshotStore:
                             (name, tuple(int(g) for g in rec[0]))
                         ] = loc
 
-        # Phase 3 — target assignment.  Elements: contiguous sorted-gid
-        # blocks (element j of M -> part j*P//M, the same deal the serial
-        # regroup path uses).  Vertices follow the elements referencing
+        # Phase 3 — target assignment.  Elements: back to the parts that
+        # held them when the epoch records ``extra["parts"]`` and the part
+        # count matches, else contiguous sorted-gid blocks (element j of
+        # M -> part j*P//M).  Vertices follow the elements referencing
         # them; tag/field records go to every part holding all their key
         # vertices (supersets cost a few duplicate deliveries, dropped at
         # apply time by the key index).
         ordered = sorted(live["e"])
         total = len(ordered)
-        elem_target = {
-            egid: j * nparts // total for j, egid in enumerate(ordered)
-        }
+        saved_parts = top_manifest.get("extra", {}).get("parts")
+        saved_nparts = int(top_manifest.get("nparts", 1))
+        if saved_parts is not None and nparts == saved_nparts:
+            owners = [pid for pid, count in saved_parts for _ in range(count)]
+            if len(owners) != total:
+                raise CorruptSnapshotError(
+                    f"{chain[-1][0].path}: parts cover {len(owners)} "
+                    f"elements, the chain holds {total}"
+                )
+            elem_target = dict(zip(ordered, owners))
+        else:
+            elem_target = {
+                egid: j * nparts // total for j, egid in enumerate(ordered)
+            }
         part_vgids: List[set] = [set() for _ in range(nparts)]
         vert_targets: Dict[int, set] = {}
         for egid, (rpid, handle) in live["e"].items():
@@ -673,7 +685,7 @@ class SnapshotStore:
 
         # Phase 5 — build each part's serial mesh from its staged block,
         # then re-derive intermediate gids and rebuild remote-copy links
-        # (the migration rendezvous), exactly like the regroup restore.
+        # (the migration rendezvous).
         dim = int(top_manifest["element_dim"])
         dmesh._gid_next = [int(g) for g in top_manifest["gid_next"]]
         model = dmesh.model
@@ -760,3 +772,48 @@ class SnapshotStore:
                     if ent is not None:
                         local.set(ent, value)
         return fields
+
+
+def _key_index(
+    part: Part, dims: Sequence[int]
+) -> Dict[Tuple[int, Tuple[int, ...]], Ent]:
+    """Map ``(dim, entity key)`` -> local entity for the requested dims."""
+    index: Dict[Tuple[int, Tuple[int, ...]], Ent] = {}
+    for d in dims:
+        for ent in part.mesh.entities(d):
+            index[(d, entity_key(part, ent))] = ent
+    return index
+
+
+def _restore_intermediate_gids(dmesh: DistributedMesh) -> None:
+    """Give every intermediate entity (0 < d < element dim) a global id.
+
+    Snapshots persist gids only for vertices and elements; edges (and
+    faces, in 3D) are re-derived from connectivity.  Distributed services
+    assume *every* entity carries a gid — ghosting, for one, detects the
+    entities an element bundle created by diffing the gid table — so a
+    load must re-establish that invariant.  Gids are assigned from the
+    sorted vertex-gid keys: the same shared entity gets the same gid on
+    every holding part, distinct entities get distinct gids, and the result
+    is independent of part count and local numbering.
+    """
+    dim = dmesh.element_dim()
+    for d in range(1, dim):
+        keys = set()
+        for part in dmesh:
+            gid0 = part.gid_array(0)
+            for ent in part.mesh.entities(d):
+                keys.add(
+                    tuple(sorted(gid0[v.idx] for v in part.mesh.verts_of(ent)))
+                )
+        base = dmesh._gid_next[d]
+        gid_of = {key: base + i for i, key in enumerate(sorted(keys))}
+        for part in dmesh:
+            gid0 = part.gid_array(0)
+            for ent in part.mesh.entities(d):
+                if not part.has_gid(ent):
+                    key = tuple(
+                        sorted(gid0[v.idx] for v in part.mesh.verts_of(ent))
+                    )
+                    part.set_gid(ent, gid_of[key])
+        dmesh._gid_next[d] = base + len(keys)

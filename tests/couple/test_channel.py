@@ -91,11 +91,23 @@ def test_frame_validates():
 
 
 def test_frame_decode_rejects_other_schemas():
+    import pickle
+
+    from repro.parallel import codec
     from repro.parallel.codec import dumps
 
     with pytest.raises(CoupleError):
         FieldFrame.decode(dumps({"schema": "repro.svc/1"}))
     assert FRAME_SCHEMA == "repro.couple/1"
+    # A CRC-valid frame carrying a tag-255 record (the retired pickle
+    # escape) is rejected with this layer's typed error, never unpickled.
+    doc = {"schema": FRAME_SCHEMA, "channel": "c", "kind": "values",
+           "seq": 0, "values": np.zeros((2, 1))}
+    raw = pickle.dumps(doc)
+    body = bytearray([255])
+    codec._w_uint(body, len(raw))
+    with pytest.raises(CoupleError):
+        FieldFrame.decode(codec._frame(codec.KIND_VALUE, bytes(body) + raw))
 
 
 # -- live channels -----------------------------------------------------------

@@ -9,10 +9,13 @@ Two properties under test:
    proves the interning tables and column layouts are pure functions of the
    decoded content).
 2. **Corruption safety**: truncated or bit-flipped buffers raise the typed
-   :class:`~repro.parallel.codec.CodecError` instead of unpickling garbage
-   (the CRC is validated before any record is interpreted).
+   :class:`~repro.parallel.codec.CodecError` instead of decoding garbage
+   (the CRC is validated before any record is interpreted), and so do
+   well-formed frames outside the closed format — unknown value tags,
+   non-zero flags — and values of types the format does not define.
 """
 
+import pickle
 import random
 
 import numpy as np
@@ -183,6 +186,7 @@ def test_generic_value_round_trips_byte_identically(seed):
                     rng.choice(_UNICODE_POOL),
                     bytes(rng.randrange(256) for _ in range(rng.randrange(5))),
                     Ent(rng.randrange(4), rng.randrange(10**6)),
+                    codec.CorruptedPayload("dict"),
                 ]
             )
         if roll < 0.60:
@@ -202,6 +206,19 @@ def test_generic_value_round_trips_byte_identically(seed):
     blob = codec.dumps(obj)
     back = codec.loads(blob)
     assert codec.dumps(back) == blob
+    # The fault injector's sentinel has its own tag and round-trips.
+    sentinel = codec.loads(codec.dumps(codec.CorruptedPayload("list")))
+    assert isinstance(sentinel, codec.CorruptedPayload)
+    assert sentinel.original_type == "list"
+
+
+def pickled_value_frame(obj) -> bytes:
+    """A kind-0 frame with a valid CRC whose body is one tag-255 record
+    (the retired pickle escape) carrying ``obj``."""
+    raw = pickle.dumps(obj)
+    body = bytearray([255])
+    codec._w_uint(body, len(raw))
+    return codec._frame(codec.KIND_VALUE, bytes(body) + raw)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -232,12 +249,22 @@ def test_wrong_kind_is_rejected():
         codec.decode_element_batch(blob)
     with pytest.raises(codec.CodecError):
         codec.loads(blob)
+    # A right-kind frame with an intact CRC but a value tag outside the
+    # closed format is rejected too: decoding never executes data.
+    with pytest.raises(codec.CodecError, match="tag 255"):
+        codec.loads(pickled_value_frame([1, 2]))
 
 
 def test_wrong_version_is_rejected():
     blob = bytearray(codec.dumps([1, 2]))
     blob[2] = codec.VERSION + 1
     with pytest.raises(codec.CodecError):
+        codec.loads(bytes(blob))
+    # The flags byte is reserved: any non-zero value is rejected.
+    blob = bytearray(codec.dumps([1, 2]))
+    assert blob[4] == 0
+    blob[4] = 0x01
+    with pytest.raises(codec.CodecError, match="flags"):
         codec.loads(bytes(blob))
 
 
@@ -248,6 +275,7 @@ def test_bad_magic_is_rejected():
 
 
 def test_gid_overflow_raises_codec_error():
+    """Unencodable input fails at encode time with the typed error."""
     bundle = {
         "verts": [(2**63, (0.0, 0.0, 0.0), None)],
         "mids": [],
@@ -255,6 +283,11 @@ def test_gid_overflow_raises_codec_error():
     }
     with pytest.raises(codec.CodecError):
         codec.encode_element_batch([bundle])
+    # Types outside the closed format have no encoding.
+    with pytest.raises(codec.CodecError, match="object"):
+        codec.dumps(object())
+    with pytest.raises(codec.CodecError):
+        codec.dumps(np.array([{"a": 1}, None], dtype=object))
 
 
 def test_value_batch_round_trip_and_corruption():

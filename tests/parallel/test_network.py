@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.parallel import codec
 from repro.parallel.network import Network, wire_size
 from repro.parallel.perf import PerfCounters
 from repro.parallel.topology import MachineTopology, single_node
@@ -65,17 +66,9 @@ def test_traffic_classification():
     assert perf.get("net.messages.on_node") == 1
     assert perf.get("net.messages.off_node") == 1
     assert perf.get("net.messages.self") == 1
-    # The default network codec is binary; charged bytes match it exactly.
-    assert perf.get("net.bytes.off_node") == wire_size("off", codec="binary")
-
-
-def test_pickle_codec_escape_hatch_charges_pickle_bytes():
-    topo = MachineTopology(nodes=2, cores_per_node=1)
-    perf = PerfCounters()
-    net = Network(2, topology=topo, counters=perf, codec="pickle")
-    net.post(0, 1, 0, "off")
-    net.exchange()
-    assert perf.get("net.bytes.off_node") == wire_size("off", codec="pickle")
+    # wire_size charges exactly what the network charges: codec bytes.
+    assert perf.get("net.bytes.off_node") == wire_size("off")
+    assert wire_size("off") == len(codec.dumps("off"))
 
 
 def test_bytes_payloads_charged_at_face_value():
@@ -86,11 +79,6 @@ def test_bytes_payloads_charged_at_face_value():
     (_, _, received), = net.exchange()[1]
     assert received == blob
     assert perf.get("net.bytes.off_node") == len(blob)
-
-
-def test_unknown_codec_rejected():
-    with pytest.raises(ValueError):
-        Network(2, counters=PerfCounters(), codec="json")
 
 
 def test_stats_accumulate_across_exchanges():

@@ -78,9 +78,8 @@ def test_compose_chains_sharing():
 # -- bcast ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("codec", ("binary", "pickle"))
-def test_bcast_delivers_root_values(codec):
-    comm = SFComm(3, codec=codec, counters=PerfCounters())
+def test_bcast_delivers_root_values():
+    comm = SFComm(3, counters=PerfCounters())
     sf = two_root_forest(comm)
     data = {(0, "r0"): 10, (1, "r1"): 20}
     got = {}
@@ -240,8 +239,6 @@ def test_int_rows_and_generic_datatypes_roundtrip():
 def test_sfcomm_validates_arguments():
     with pytest.raises(ValueError):
         SFComm(0)
-    with pytest.raises(ValueError):
-        SFComm(2, codec="gzip")
 
 
 # -- observability -------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Differential tests: serial vs 2/4/8 parts, binary codec vs pickle.
+"""Differential tests: serial vs 2/4/8 parts.
 
 The same workload — distribute, a ring-migration round, a ghost layer,
 ghost deletion, then field synchronize + accumulate — runs serially
-(one part) and at 2/4/8 parts with both wire codecs.  Every configuration
-must report *identical* global invariants:
+(one part) and at 2/4/8 parts over the binary wire codec.  Every
+configuration must report *identical* global invariants:
 
 * per-dimension owned entity counts,
 * the owned-gid set for every dimension,
@@ -34,7 +34,6 @@ from repro.partition import (
 )
 
 PART_COUNTS = (2, 4, 8)
-CODECS = ("binary", "pickle")
 
 
 def strip(mesh, nparts, axis=0):
@@ -70,14 +69,14 @@ def owned_field_checksum(dm, dfield):
     return math.fsum(values)
 
 
-def run_workload(nparts, codec):
+def run_workload(nparts):
     """Distribute → migrate ring → ghost → unghost → sync/accumulate."""
     mesh = rect_tri(8)
     if nparts == 1:
         assignment = [0] * mesh.count(2)
     else:
         assignment = strip(mesh, nparts)
-    dm = distribute(mesh, assignment, codec=codec)
+    dm = distribute(mesh, assignment)
 
     # Ring migration: each part ships its two lowest elements onward.
     plan = {}
@@ -121,25 +120,16 @@ def run_workload(nparts, codec):
 
 @pytest.fixture(scope="module")
 def serial_baseline():
-    return run_workload(1, "binary")
+    return run_workload(1)
 
 
-@pytest.mark.parametrize("codec", CODECS)
 @pytest.mark.parametrize("nparts", PART_COUNTS)
-def test_parallel_matches_serial(nparts, codec, serial_baseline):
-    result = run_workload(nparts, codec)
+def test_parallel_matches_serial(nparts, serial_baseline):
+    result = run_workload(nparts)
     assert result["owned_counts"] == serial_baseline["owned_counts"]
     assert result["owned_gids"] == serial_baseline["owned_gids"]
     assert result["sync_checksum"] == serial_baseline["sync_checksum"]
     assert result["accum_checksum"] == serial_baseline["accum_checksum"]
-
-
-@pytest.mark.parametrize("nparts", PART_COUNTS)
-def test_binary_and_pickle_agree_exactly(nparts):
-    """The codec must be invisible: bitwise-equal invariants either way."""
-    binary = run_workload(nparts, "binary")
-    legacy = run_workload(nparts, "pickle")
-    assert binary == legacy
 
 
 def test_serial_counts_match_source_mesh(serial_baseline):
@@ -149,7 +139,7 @@ def test_serial_counts_match_source_mesh(serial_baseline):
     ) + (0,)
 
 
-def run_overlap_workload(nparts, codec, depth):
+def run_overlap_workload(nparts, depth):
     """Distribute → depth-k ghost overlap → sync/accumulate *with* ghosts.
 
     Unlike :func:`run_workload`, the overlap stays in place while the field
@@ -161,7 +151,7 @@ def run_overlap_workload(nparts, codec, depth):
         assignment = [0] * mesh.count(2)
     else:
         assignment = strip(mesh, nparts)
-    dm = distribute(mesh, assignment, codec=codec)
+    dm = distribute(mesh, assignment)
 
     gstats = ghost_layer(dm, overlap=Overlap(depth=depth))
     dm.verify()
@@ -200,14 +190,13 @@ def run_overlap_workload(nparts, codec, depth):
 
 @pytest.fixture(scope="module")
 def serial_overlap_baseline():
-    return run_overlap_workload(1, "binary", depth=1)
+    return run_overlap_workload(1, depth=1)
 
 
 @pytest.mark.parametrize("depth", (1, 2, 3))
-@pytest.mark.parametrize("codec", CODECS)
 @pytest.mark.parametrize("nparts", PART_COUNTS)
-def test_overlap_matches_serial(nparts, codec, depth, serial_overlap_baseline):
-    result = run_overlap_workload(nparts, codec, depth)
+def test_overlap_matches_serial(nparts, depth, serial_overlap_baseline):
+    result = run_overlap_workload(nparts, depth)
     assert result["owned_counts"] == serial_overlap_baseline["owned_counts"]
     assert result["owned_gids"] == serial_overlap_baseline["owned_gids"]
     assert result["sync_checksum"] == serial_overlap_baseline["sync_checksum"]
@@ -216,19 +205,11 @@ def test_overlap_matches_serial(nparts, codec, depth, serial_overlap_baseline):
     )
 
 
-@pytest.mark.parametrize("depth", (2, 3))
-def test_overlap_codecs_agree(depth):
-    """Depth-k ghosting must be codec-invisible too."""
-    assert run_overlap_workload(4, "binary", depth) == run_overlap_workload(
-        4, "pickle", depth
-    )
-
-
 def test_binary_codec_actually_engaged():
-    """Guard against silently running pickle everywhere: the binary run must
-    report coalesced batches and encoded bytes through the stats plumbing."""
+    """Every service must ship coalesced codec batches: the run reports
+    coalesced batches and encoded bytes through the stats plumbing."""
     mesh = rect_tri(8)
-    dm = distribute(mesh, strip(mesh, 4), codec="binary")
+    dm = distribute(mesh, strip(mesh, 4))
     part0 = dm.part(0)
     plan = {0: {e: 1 for e in sorted(part0.mesh.entities(2))[:2]}}
     stats = migrate(dm, plan)

@@ -1,18 +1,24 @@
-"""Tests for distributed-mesh checkpointing."""
+"""Distributed-mesh checkpointing through the ``repro.store/1`` format.
+
+Meshes are saved by :class:`~repro.resilience.CheckpointManager`, which
+records each element's owning part, and read back with
+:meth:`~repro.store.SnapshotStore.load_at`: at the saved part count the
+distribution comes back exactly (per-part counts, remote links); at any
+other count the mesh is re-dealt.
+"""
+
+import hashlib
+import json
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.mesh import box_tet, rect_tri
-from repro.partition import (
-    CorruptCheckpointError,
-    DistributedField,
-    distribute,
-    load_checkpoint,
-    load_dmesh,
-    migrate,
-    save_dmesh,
-)
+from repro.parallel import codec
+from repro.partition import DistributedField, distribute, migrate
+from repro.resilience import CheckpointManager, CorruptCheckpointError
+from repro.store import CorruptSnapshotError, SnapshotStore
 
 
 def strips(mesh, nparts, axis=0):
@@ -22,11 +28,26 @@ def strips(mesh, nparts, axis=0):
     ]
 
 
+def save(dm, path, fields=()):
+    CheckpointManager(path).save(dm, step=0, fields=fields)
+    return path
+
+
+def load(path, **kwargs):
+    store = SnapshotStore(path, prefix=CheckpointManager.PREFIX)
+    dm, fields, _stats = store.load_at(**kwargs)
+    return dm, fields
+
+
+def epoch_dir(path):
+    (epoch,) = SnapshotStore(path, prefix=CheckpointManager.PREFIX).epochs()
+    return epoch.path
+
+
 def test_roundtrip_counts_and_links(tmp_path):
     mesh = rect_tri(4)
     dm = distribute(mesh, strips(mesh, 4))
-    save_dmesh(dm, tmp_path / "ckpt")
-    restored = load_dmesh(tmp_path / "ckpt", model=mesh.model)
+    restored, _ = load(save(dm, tmp_path / "ckpt"), model=mesh.model)
     restored.verify()
     assert np.array_equal(restored.entity_counts(), dm.entity_counts())
     # Remote-link structure identical (same residence sets per shared gid).
@@ -46,8 +67,7 @@ def test_roundtrip_counts_and_links(tmp_path):
 def test_roundtrip_3d(tmp_path):
     mesh = box_tet(2)
     dm = distribute(mesh, strips(mesh, 2, axis=2))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = load(save(dm, tmp_path / "c"), model=mesh.model)
     restored.verify()
     assert np.array_equal(restored.entity_counts(), dm.entity_counts())
 
@@ -55,8 +75,7 @@ def test_roundtrip_3d(tmp_path):
 def test_roundtrip_classification(tmp_path):
     mesh = rect_tri(3)
     dm = distribute(mesh, strips(mesh, 2))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = load(save(dm, tmp_path / "c"), model=mesh.model)
     for part in restored:
         for v in part.mesh.entities(0):
             assert part.mesh.classification(v) is not None
@@ -67,8 +86,7 @@ def test_roundtrip_classification(tmp_path):
 def test_roundtrip_without_model(tmp_path):
     mesh = rect_tri(2)
     dm = distribute(mesh, strips(mesh, 2))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c")
+    restored, _ = load(save(dm, tmp_path / "c"))
     restored.verify()
     assert np.array_equal(restored.entity_counts(), dm.entity_counts())
 
@@ -76,18 +94,22 @@ def test_roundtrip_without_model(tmp_path):
 def test_roundtrip_with_empty_part(tmp_path):
     mesh = rect_tri(2)
     dm = distribute(mesh, [0] * mesh.count(2), nparts=3)
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    path = save(dm, tmp_path / "c")
+    restored, _ = load(path, model=mesh.model)
     restored.verify()
     assert restored.part(1).mesh.count(2) == 0
+    assert restored.part(2).mesh.count(2) == 0
+    # More parts than elements: the surplus parts load empty.
+    wide, _ = load(path, model=mesh.model, nparts=mesh.count(2) + 1)
+    wide.verify()
+    assert wide.part(wide.nparts - 1).mesh.count(2) == 0
 
 
 def test_restored_mesh_is_operational(tmp_path):
     """Migration works on a reloaded checkpoint (gid allocator restored)."""
     mesh = rect_tri(4)
     dm = distribute(mesh, strips(mesh, 4))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = load(save(dm, tmp_path / "c"), model=mesh.model)
     element = next(restored.part(0).mesh.entities(2))
     migrate(restored, {0: {element: 1}})
     restored.verify()
@@ -101,13 +123,12 @@ def test_checkpoint_after_adaptation(tmp_path):
     mesh = rect_tri(3)
     dm = distribute(mesh, strips(mesh, 3))
     refine_distributed(dm, UniformSize(0.15))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = load(save(dm, tmp_path / "c"), model=mesh.model)
     restored.verify()
     assert np.array_equal(restored.entity_counts(), dm.entity_counts())
 
 
-# -- v2 format: tags, fields, ghosts ------------------------------------------
+# -- tags, fields, ghosts -----------------------------------------------------
 
 
 def test_roundtrip_tags(tmp_path):
@@ -120,8 +141,7 @@ def test_roundtrip_tags(tmp_path):
         etag = part.mesh.tag("region")
         for e in part.mesh.entities(2):
             etag.set(e, f"r{part.gid(e) % 3}")
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = load(save(dm, tmp_path / "c"), model=mesh.model)
     for part in restored:
         vtag = part.mesh.tags.find("vlabel")
         assert vtag is not None
@@ -138,9 +158,10 @@ def test_roundtrip_fields(tmp_path):
     dm = distribute(mesh, strips(mesh, 3))
     df = DistributedField(dm, "u")
     df.set_from_coords(lambda x: x[0] + 2.0 * x[1])
-    save_dmesh(dm, tmp_path / "c", fields=[df])
-    restored, fields, manifest = load_checkpoint(tmp_path / "c", model=mesh.model)
-    assert manifest["format"] == "repro.dmesh/2"
+    path = save(dm, tmp_path / "c", fields=[df])
+    manifest = json.loads((epoch_dir(path) / "manifest.json").read_text())
+    assert manifest["format"] == "repro.store/1"
+    restored, fields = load(path, model=mesh.model)
     assert set(fields) == {"u"}
     ref = fields["u"]
     for part in restored:
@@ -154,8 +175,7 @@ def test_all_entities_have_gids_after_restore(tmp_path):
     """The all-entities-carry-gids invariant survives the round-trip."""
     mesh = box_tet(2)
     dm = distribute(mesh, strips(mesh, 2, axis=2))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = load(save(dm, tmp_path / "c"), model=mesh.model)
     for part in restored:
         for dim in range(4):
             for ent in part.mesh.entities(dim):
@@ -175,8 +195,7 @@ def test_ghosted_mesh_roundtrip_excludes_ghosts(tmp_path):
     dm = distribute(mesh, strips(mesh, 3))
     pre_ghost = dm.entity_counts().copy()
     ghost_layer(dm)
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = load(save(dm, tmp_path / "c"), model=mesh.model)
     restored.verify()
     # Ghosts are runtime state: the snapshot holds only real entities.
     assert not any(part.ghosts for part in restored)
@@ -192,11 +211,12 @@ def test_ghosted_mesh_roundtrip_excludes_ghosts(tmp_path):
 
 @pytest.mark.parametrize("target", [4, 16])
 def test_restore_8_parts_at_other_counts(tmp_path, target):
-    """Checkpoint at 8 parts, restart at 4 and 16 (the DMPlex property)."""
+    """Save at 8 parts, restart at 4 and 16 (the DMPlex property)."""
     mesh = rect_tri(6)
     dm = distribute(mesh, strips(mesh, 8))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model, nparts=target)
+    restored, _ = load(
+        save(dm, tmp_path / "c"), model=mesh.model, nparts=target
+    )
     restored.verify()
     assert restored.nparts == target
     for dim in range(3):
@@ -213,9 +233,8 @@ def test_restore_other_count_keeps_tags_and_fields(tmp_path):
             tag.set(e, int(part.gid(e)))
     df = DistributedField(dm, "u")
     df.set_from_coords(lambda x: 5.0 * x[0])
-    save_dmesh(dm, tmp_path / "c", fields=[df])
-    restored, fields, _ = load_checkpoint(
-        tmp_path / "c", model=mesh.model, nparts=2
+    restored, fields = load(
+        save(dm, tmp_path / "c", fields=[df]), model=mesh.model, nparts=2
     )
     restored.verify()
     for part in restored:
@@ -230,8 +249,7 @@ def test_restore_other_count_keeps_tags_and_fields(tmp_path):
 def test_restored_regrouped_mesh_is_operational(tmp_path):
     mesh = rect_tri(4)
     dm = distribute(mesh, strips(mesh, 4))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model, nparts=2)
+    restored, _ = load(save(dm, tmp_path / "c"), model=mesh.model, nparts=2)
     element = next(restored.part(0).mesh.entities(2))
     migrate(restored, {0: {element: 1}})
     restored.verify()
@@ -244,55 +262,77 @@ def test_restored_regrouped_mesh_is_operational(tmp_path):
 def make_checkpoint(tmp_path):
     mesh = rect_tri(3)
     dm = distribute(mesh, strips(mesh, 2))
-    save_dmesh(dm, tmp_path / "c")
-    return tmp_path / "c"
+    return save(dm, tmp_path / "c")
+
+
+def first_chunk(path):
+    return sorted(epoch_dir(path).glob("*.bin"))[0]
 
 
 def test_missing_manifest_is_typed(tmp_path):
     path = make_checkpoint(tmp_path)
-    (path / "manifest.json").unlink()
+    (epoch_dir(path) / "manifest.json").unlink()
     with pytest.raises(CorruptCheckpointError, match="manifest"):
-        load_dmesh(path)
+        load(path, epoch=0)
 
 
 def test_unparseable_manifest_is_typed(tmp_path):
     path = make_checkpoint(tmp_path)
-    (path / "manifest.json").write_text("{nope")
+    (epoch_dir(path) / "manifest.json").write_text("{nope")
     with pytest.raises(CorruptCheckpointError):
-        load_dmesh(path)
+        load(path, epoch=0)
 
 
 def test_unsupported_format_is_typed(tmp_path):
-    import json
-
     path = make_checkpoint(tmp_path)
-    manifest = json.loads((path / "manifest.json").read_text())
-    manifest["format"] = "repro.dmesh/99"
-    (path / "manifest.json").write_text(json.dumps(manifest))
+    manifest_path = epoch_dir(path) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format"] = "repro.store/99"
+    manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(CorruptCheckpointError, match="format"):
-        load_dmesh(path)
+        load(path, epoch=0)
 
 
 def test_tampered_part_file_fails_hash_validation(tmp_path):
     path = make_checkpoint(tmp_path)
-    part_file = path / "part0.npz"
-    data = bytearray(part_file.read_bytes())
+    chunk = first_chunk(path)
+    data = bytearray(chunk.read_bytes())
     data[len(data) // 2] ^= 0xFF
-    part_file.write_bytes(bytes(data))
+    chunk.write_bytes(bytes(data))
     with pytest.raises(CorruptCheckpointError, match="sha256"):
-        load_dmesh(path)
+        load(path)
+    # A chunk rewritten outside the closed format — the original records
+    # as one tag-255 (pickle) record — is rejected even when the manifest's
+    # SHA-256 is updated to match it.
+    path = make_checkpoint(tmp_path / "resigned")
+    chunk = first_chunk(path)
+    raw = pickle.dumps(codec.loads(chunk.read_bytes()))
+    body = bytearray([255])
+    codec._w_uint(body, len(raw))
+    hostile = codec._frame(codec.KIND_VALUE, bytes(body) + raw)
+    chunk.write_bytes(hostile)
+    manifest_path = epoch_dir(path) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for entries in manifest["sections"].values():
+        for entry in entries:
+            if entry["file"] == chunk.name:
+                entry["sha256"] = hashlib.sha256(hostile).hexdigest()
+                entry["bytes"] = len(hostile)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(CorruptSnapshotError, match="undecodable"):
+        load(path)
 
 
 def test_truncated_part_file_is_typed_not_badzipfile(tmp_path):
     path = make_checkpoint(tmp_path)
-    part_file = path / "part1.npz"
-    part_file.write_bytes(part_file.read_bytes()[:20])
+    chunk = first_chunk(path)
+    chunk.write_bytes(chunk.read_bytes()[:20])
     with pytest.raises(CorruptCheckpointError):
-        load_dmesh(path)
+        load(path)
 
 
 def test_missing_part_file_is_typed(tmp_path):
     path = make_checkpoint(tmp_path)
-    (path / "part0.npz").unlink()
+    first_chunk(path).unlink()
     with pytest.raises(CorruptCheckpointError, match="missing"):
-        load_dmesh(path)
+        load(path)

@@ -1,6 +1,4 @@
-"""Depth-k overlap semantics: exact regions, Overlap config, legacy shim."""
-
-import warnings
+"""Depth-k overlap semantics: exact regions, Overlap config, arguments."""
 
 import pytest
 
@@ -153,32 +151,12 @@ def test_argument_spellings_are_exclusive():
     mesh = rect_tri(2)
     dm = distribute(mesh, strip(mesh, 2))
     with pytest.raises(ValueError):
-        ghost_layer(dm, bridge_dim=0, overlap=Overlap())
-    with pytest.raises(ValueError):
-        ghost_layer(dm, layers=2, depth=2)
-    with pytest.raises(ValueError):
         ghost_layer(dm, overlap=Overlap(), depth=1)
-
-
-def test_legacy_kwargs_warn_once_and_still_work(monkeypatch):
-    import repro.partition.ghosting as ghosting
-
-    monkeypatch.setattr(ghosting, "_legacy_warned", False)
-    mesh = rect_tri(4)
-    dm = distribute(mesh, strip(mesh, 2))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        stats = ghost_layer(dm, bridge_dim=0, layers=2)
-        delete_ghosts(dm)
-        ghost_layer(dm, bridge_dim=0)
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1  # once per process, not per call
-    assert "Overlap" in str(deprecations[0].message)
-    assert stats.layers == 2 and stats.ghosts_created > 0
-    # The shim maps onto the identical Overlap.
-    monkeypatch.setattr(ghosting, "_legacy_warned", True)
-    assert _resolve_overlap(1, 2, None, None) == Overlap(depth=2, bridge_dim=1)
-    assert _resolve_overlap(None, None, None, 3) == Overlap(depth=3)
-    assert _resolve_overlap(None, None, None, None) == Overlap()
+    # The overlap is keyword-only; the retired bridge_dim/layers spelling
+    # is no longer accepted at all.
+    with pytest.raises(TypeError):
+        ghost_layer(dm, 0)
+    with pytest.raises(TypeError):
+        ghost_layer(dm, bridge_dim=0, layers=2)
+    assert _resolve_overlap(None, 3) == Overlap(depth=3)
+    assert _resolve_overlap(None, None) == Overlap()

@@ -1,5 +1,8 @@
 """Tests for the rotated, hash-validated checkpoint manager."""
 
+import json
+import logging
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,13 @@ def strips(mesh, nparts):
 def make_dmesh(nparts=3, n=4):
     mesh = rect_tri(n)
     return distribute(mesh, strips(mesh, nparts)), mesh
+
+
+def rewrite_manifest(info, edit):
+    path = info.path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 
 def test_save_restore_roundtrip(tmp_path):
@@ -68,9 +78,9 @@ def test_restore_falls_back_past_corrupt_checkpoint(tmp_path):
     manager = CheckpointManager(tmp_path / "ck")
     manager.save(dm, step=0)
     newest = manager.save(dm, step=1)
-    # Flip bytes in a part file of the newest checkpoint.
-    part_file = newest.path / "part0.npz"
-    part_file.write_bytes(b"garbage" + part_file.read_bytes()[7:])
+    # Flip bytes in a chunk file of the newest checkpoint.
+    chunk = sorted(newest.path.glob("*.bin"))[0]
+    chunk.write_bytes(b"garbage" + chunk.read_bytes()[7:])
     assert not manager.validate(newest)
     restored, _, info = manager.restore(model=mesh.model)
     restored.verify()
@@ -153,33 +163,97 @@ def test_ghost_config_reapplied_on_restore(tmp_path):
     assert np.array_equal(restored.entity_counts(), ghosted_counts)
 
 
-def test_legacy_ghost_config_manifest_still_restores(tmp_path):
-    """Manifests written before the Overlap API restore without warnings."""
-    import warnings
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m.update(extra=["x"]),
+        lambda m: m["extra"].update(step=float("inf")),
+        lambda m: m["extra"].update(parts=[[99, 1]]),
+        lambda m: m["extra"].update(parts={"0": 1}),
+    ],
+    ids=["list", "infinite-step", "part-out-of-range", "parts-not-runs"],
+)
+def test_non_object_manifest_extra_is_skipped_not_fatal(
+    tmp_path, caplog, edit
+):
+    """A manifest with a malformed ``extra`` costs one epoch only."""
+    dm, mesh = make_dmesh()
+    manager = CheckpointManager(tmp_path / "ck", keep=0)
+    manager.save(dm, step=0)
+    bad = manager.save(dm, step=1)
+    rewrite_manifest(bad, edit)
+    assert [i.step for i in manager.checkpoints()] == [0, -1]
+    assert manager.latest().index == bad.index
+    assert not manager.validate(bad)
+    with caplog.at_level(logging.WARNING, "repro.resilience.checkpoint"):
+        restored, _, info = manager.restore(model=mesh.model)
+    restored.verify()
+    assert info.step == 0
+    assert any(
+        "skipping corrupt checkpoint" in rec.getMessage()
+        and bad.path.name in rec.getMessage()
+        for rec in caplog.records
+    )
+    # Saving past the bad epoch still works.
+    assert manager.save(dm, step=2).index == bad.index + 1
 
-    from repro.partition import ghost_layer
+
+@pytest.mark.parametrize("depth", [-1, float("inf")])
+def test_unparseable_ghost_config_is_skipped_not_fatal(
+    tmp_path, caplog, depth
+):
+    """A recorded ghost config that fails to parse costs one epoch only."""
+    from repro.partition import Overlap
 
     dm, mesh = make_dmesh()
-    ghost_layer(dm)
     manager = CheckpointManager(
-        tmp_path / "ck", ghost_config={"bridge_dim": 0, "layers": 1}
+        tmp_path / "ck", keep=0, ghost_config=Overlap(depth=1)
     )
-    # The legacy dict is normalized to the overlap form at construction.
-    assert manager.ghost_config["overlap"]["depth"] == 1
     manager.save(dm, step=0)
-    # Rewrite the manifest's ghost_config back to the legacy spelling, as an
-    # old on-disk checkpoint would carry it.
-    import json
-
-    ckpt = manager.latest().path
-    manifest_path = ckpt / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["extra"]["ghost_config"] = {"bridge_dim": 0, "layers": 1}
-    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        restored, _, _ = manager.restore(model=mesh.model)
+    bad = manager.save(dm, step=1)
+    rewrite_manifest(
+        bad,
+        lambda m: m["extra"]["ghost_config"]["overlap"].update(depth=depth),
+    )
+    with caplog.at_level(logging.WARNING, "repro.resilience.checkpoint"):
+        restored, _, info = manager.restore(model=mesh.model)
+    restored.verify()
+    assert info.step == 0
     assert any(part.ghosts for part in restored)
+    assert not manager.validate(bad)
+    assert any(
+        "skipping corrupt checkpoint" in rec.getMessage()
+        and bad.path.name in rec.getMessage()
+        for rec in caplog.records
+    )
+
+
+def test_restore_keeps_a_balanced_distribution(tmp_path):
+    """A same-count restore returns the saved partition, not a re-deal."""
+    from repro.core import improve_partition
+
+    dm, mesh = make_dmesh(nparts=4, n=6)
+    improve_partition(dm, "Vtx>Rgn")
+    before = [sorted(p.gid(e) for e in p.mesh.entities(2)) for p in dm]
+    manager = CheckpointManager(tmp_path / "ck")
+    manager.save(dm, step=0)
+    restored, _, _ = manager.restore(model=mesh.model)
+    restored.verify()
+    after = [sorted(p.gid(e) for e in p.mesh.entities(2)) for p in restored]
+    assert after == before
+    assert np.array_equal(restored.entity_counts(), dm.entity_counts())
+
+
+def test_parts_not_covering_the_chain_is_skipped(tmp_path, caplog):
+    dm, mesh = make_dmesh()
+    manager = CheckpointManager(tmp_path / "ck", keep=0)
+    manager.save(dm, step=0)
+    bad = manager.save(dm, step=1)
+    rewrite_manifest(bad, lambda m: m["extra"]["parts"].append([0, 1]))
+    with caplog.at_level(logging.WARNING, "repro.resilience.checkpoint"):
+        restored, _, info = manager.restore(model=mesh.model)
+    assert info.step == 0
+    assert any("parts cover" in rec.getMessage() for rec in caplog.records)
 
 
 def test_restore_at_different_part_count(tmp_path):

@@ -2,10 +2,8 @@
 
 The canonical snapshot state excludes ghosts, so a checkpoint of a
 ghosted distribution records only owned entities; the manager re-applies
-its ``ghost_config`` after the restore.  Both backends deal elements in
-the same contiguous sorted-gid blocks, so restoring the same checkpoint
-through ``dmesh`` and ``store`` must agree part-for-part — owned gid
-sets *and* the regenerated ghost layer.
+its ``ghost_config`` after the restore, which must agree part-for-part
+with loading un-ghosted and ghosting by hand.
 """
 
 import numpy as np
@@ -47,9 +45,8 @@ def part_signature(dmesh):
     return out
 
 
-@pytest.mark.parametrize("codec", ["binary", "pickle"])
 @pytest.mark.parametrize("depth", [2, 3])
-def test_store_load_then_reghost(tmp_path, depth, codec):
+def test_store_load_then_reghost(tmp_path, depth):
     dm, mesh = make_dmesh(nparts=4, n=5)
     overlap = Overlap(depth=depth, bridge_dim=0)
     ghost_layer(dm, overlap=overlap)
@@ -64,33 +61,12 @@ def test_store_load_then_reghost(tmp_path, depth, codec):
     want_elems = owned_gid_set(dm, 2)
     want_sum = round(field_checksum(dm, f), 9)
     for target in (2, 6):
-        dm2, fields, _ = store.load_at(
-            nparts=target, model=mesh.model, codec=codec
-        )
+        dm2, fields, _ = store.load_at(nparts=target, model=mesh.model)
         ghost_layer(dm2, overlap=overlap)
         dm2.verify()
         assert owned_gid_set(dm2, 2) == want_elems
         assert round(field_checksum(dm2, fields["u"]), 9) == want_sum
         assert all(part.ghosts for part in dm2)
-
-
-@pytest.mark.parametrize("depth", [2, 3])
-def test_backends_agree_on_reghosted_restore(tmp_path, depth):
-    dm, mesh = make_dmesh(nparts=4, n=4)
-    overlap = Overlap(depth=depth, bridge_dim=0)
-    ghost_layer(dm, overlap=overlap)
-    signatures = {}
-    for backend in ("dmesh", "store"):
-        manager = CheckpointManager(
-            tmp_path / backend, ghost_config=overlap, backend=backend
-        )
-        manager.save(dm, step=0)
-        restored, _, _ = manager.restore(model=mesh.model, nparts=3)
-        restored.verify()
-        assert restored.nparts == 3
-        assert owned_gid_set(restored, 2) == owned_gid_set(dm, 2)
-        signatures[backend] = part_signature(restored)
-    assert signatures["dmesh"] == signatures["store"]
 
 
 def test_deeper_overlap_ghosts_more(tmp_path):
@@ -112,9 +88,7 @@ def test_manager_overlap_restore_matches_fresh_ghosting(tmp_path):
     dm, mesh = make_dmesh(nparts=4, n=4)
     overlap = Overlap(depth=2, bridge_dim=0)
     ghost_layer(dm, overlap=overlap)
-    manager = CheckpointManager(
-        tmp_path / "ck", ghost_config=overlap, backend="store"
-    )
+    manager = CheckpointManager(tmp_path / "ck", ghost_config=overlap)
     manager.save(dm, step=0)
     restored, _, _ = manager.restore(model=mesh.model, nparts=2)
 

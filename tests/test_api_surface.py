@@ -333,9 +333,9 @@ def test_top_level_resilience_surface():
         assert name in repro.__all__, name
     assert "resilience" in repro.__all__
     # CorruptCheckpointError is one class, wherever it is imported from.
-    from repro.partition import CorruptCheckpointError as from_partition
+    from repro.store import CorruptCheckpointError as from_store
 
-    assert repro.CorruptCheckpointError is from_partition
+    assert repro.CorruptCheckpointError is from_store
     # RankFailure (structured SpmdError records) is pinned too.
     from repro.parallel import RankFailure
 
@@ -510,27 +510,28 @@ def test_parallel_placement_surface():
 
 
 def test_wire_codec_surface():
-    """The binary wire codec knob is part of the pinned public API."""
+    """The binary wire codec is part of the pinned public API."""
     import repro
-    from repro.parallel import CODECS, CodecError, Network, codec
+    from repro import parallel
+    from repro.parallel import CodecError, codec
+    from repro.resilience import CorruptedPayload
 
     # CodecError is one class, importable from the top level too.
     assert repro.CodecError is CodecError
     assert "CodecError" in repro.__all__
     assert issubclass(CodecError, ValueError)
-    # The codec registry and defaults.
-    assert CODECS == ("binary", "pickle")
-    assert Network(2).codec == "binary"
-    # The knob threads from distribute through DistributedMesh.
+    # One closed format: no codec registry, no knob to choose another.
+    assert not hasattr(parallel, "CODECS")
     mesh = rect_tri(2)
-    dm = distribute(mesh, strips(mesh, 2), codec="pickle")
-    assert dm.codec == "pickle"
-    with pytest.raises(ValueError):
-        distribute(mesh, strips(mesh, 2), codec="gzip")
+    with pytest.raises(TypeError):
+        distribute(mesh, strips(mesh, 2), codec="binary")
+    # The fault injector's sentinel is the codec's, wherever imported from.
+    assert CorruptedPayload is codec.CorruptedPayload
     # The wire-format module surface used by the services.
     for name in (
         "MAGIC",
         "VERSION",
+        "CorruptedPayload",
         "dumps",
         "loads",
         "encode_element_batch",
