@@ -50,8 +50,8 @@ FULL = {"mesh": "box_tet", "n": 4, "parts": 8, "rounds": 3, "batch": 64}
 #: Upper bounds on each phase's off-node wire bytes, per scale.
 BUDGETS = {
     "quick": {
-        "total_wire_bytes": 25_780,
-        "migrate_wire_bytes": 7_694,
+        "total_wire_bytes": 24_753,
+        "migrate_wire_bytes": 6_667,
         "ghost_wire_bytes": 15_815,
         "sync_wire_bytes": 2_271,
     },

@@ -34,6 +34,7 @@ from ..adapt.coarsen import collapse_edge
 from ..adapt.refine import split_edge
 from ..field.sizefield import SizeField, edge_size_ratio
 from ..mesh.entity import Ent
+from ..obs.tracer import trace_span
 from .dmesh import DistributedMesh
 from .migration import rebuild_links
 from .part import Part
@@ -119,90 +120,91 @@ def refine_distributed(
     if dim < 2:
         raise ValueError("distributed refinement needs a 2D or 3D mesh")
 
-    for _pass in range(max_passes):
-        splits_this_pass = 0
+    with trace_span(dmesh.tracer, "dadapt"):
+        for _pass in range(max_passes):
+            splits_this_pass = 0
 
-        # Phase 1: interior edges, purely local (longest first).
-        for part in dmesh:
-            mesh = part.mesh
-            over = []
-            for edge in mesh.entities(1):
-                if part.is_shared(edge):
-                    continue
-                r = edge_size_ratio(mesh, size, edge)
-                if r > ratio:
-                    over.append((r, edge))
-            over.sort(key=lambda item: (-item[0], item[1]))
-            for _r, edge in over:
-                if not mesh.has(edge) or part.is_shared(edge):
-                    continue
-                if edge_size_ratio(mesh, size, edge) <= ratio:
-                    continue
-                _split_local(dmesh, part, edge)
-                splits_this_pass += 1
-                stats.interior_splits += 1
+            # Phase 1: interior edges, purely local (longest first).
+            for part in dmesh:
+                mesh = part.mesh
+                over = []
+                for edge in mesh.entities(1):
+                    if part.is_shared(edge):
+                        continue
+                    r = edge_size_ratio(mesh, size, edge)
+                    if r > ratio:
+                        over.append((r, edge))
+                over.sort(key=lambda item: (-item[0], item[1]))
+                for _r, edge in over:
+                    if not mesh.has(edge) or part.is_shared(edge):
+                        continue
+                    if edge_size_ratio(mesh, size, edge) <= ratio:
+                        continue
+                    _split_local(dmesh, part, edge)
+                    splits_this_pass += 1
+                    stats.interior_splits += 1
 
-        # Phase 2: owners decide shared-edge splits and command all copies.
-        router = dmesh.router()
-        commands: Dict[int, List[Tuple[Ent, Tuple[float, ...], int]]] = {}
-        for part in dmesh:
-            mesh = part.mesh
-            for edge in sorted(part.remotes):
-                if edge.dim != 1 or not mesh.has(edge):
-                    continue
-                if not part.owns(edge):
-                    continue
-                if edge_size_ratio(mesh, size, edge) <= ratio:
-                    continue
-                a, b = mesh.verts_of(edge)
-                midpoint = 0.5 * (mesh.coords(a) + mesh.coords(b))
-                gclass = mesh.classification(edge)
-                if gclass is not None and mesh.model is not None:
-                    from ..gmodel.snap import snap_to_entity
+            # Phase 2: owners decide shared-edge splits and command all copies.
+            router = dmesh.router()
+            commands: Dict[int, List[Tuple[Ent, Tuple[float, ...], int]]] = {}
+            for part in dmesh:
+                mesh = part.mesh
+                for edge in sorted(part.remotes):
+                    if edge.dim != 1 or not mesh.has(edge):
+                        continue
+                    if not part.owns(edge):
+                        continue
+                    if edge_size_ratio(mesh, size, edge) <= ratio:
+                        continue
+                    a, b = mesh.verts_of(edge)
+                    midpoint = 0.5 * (mesh.coords(a) + mesh.coords(b))
+                    gclass = mesh.classification(edge)
+                    if gclass is not None and mesh.model is not None:
+                        from ..gmodel.snap import snap_to_entity
 
-                    midpoint = snap_to_entity(mesh.model, gclass, midpoint)
-                vertex_gid = dmesh.alloc_gid(0)
-                point = tuple(midpoint)
-                commands.setdefault(part.pid, []).append(
-                    (edge, point, vertex_gid)
-                )
-                for other_pid, other_edge in sorted(
-                    part.remotes[edge].items()
-                ):
-                    router.post(
-                        part.pid, other_pid, _TAG_SPLIT,
-                        (other_edge, point, vertex_gid),
+                        midpoint = snap_to_entity(mesh.model, gclass, midpoint)
+                    vertex_gid = dmesh.alloc_gid(0)
+                    point = tuple(midpoint)
+                    commands.setdefault(part.pid, []).append(
+                        (edge, point, vertex_gid)
                     )
+                    for other_pid, other_edge in sorted(
+                        part.remotes[edge].items()
+                    ):
+                        router.post(
+                            part.pid, other_pid, _TAG_SPLIT,
+                            (other_edge, point, vertex_gid),
+                        )
 
-        # Phase 3: every part executes its commanded splits (incoming
-        # plus, for owners, its own).  Exchange delivers an inbox for every
-        # part, so one loop covers both.
-        inboxes = router.exchange()
-        boundary_splits = 0
-        for pid in sorted(inboxes):
-            part = dmesh.part(pid)
-            ordered = [payload for _s, _t, payload in inboxes[pid]]
-            ordered.extend(commands.get(pid, []))
-            for edge, point, vertex_gid in sorted(ordered):
-                if not part.mesh.has(edge):
-                    raise AssertionError(
-                        f"part {pid}: commanded split edge {edge} is dead"
-                    )
-                _split_local(dmesh, part, edge, point=point,
-                             vertex_gid=vertex_gid)
-                boundary_splits += 1
+            # Phase 3: every part executes its commanded splits (incoming
+            # plus, for owners, its own).  Exchange delivers an inbox for every
+            # part, so one loop covers both.
+            inboxes = router.exchange()
+            boundary_splits = 0
+            for pid in sorted(inboxes):
+                part = dmesh.part(pid)
+                ordered = [payload for _s, _t, payload in inboxes[pid]]
+                ordered.extend(commands.get(pid, []))
+                for edge, point, vertex_gid in sorted(ordered):
+                    if not part.mesh.has(edge):
+                        raise AssertionError(
+                            f"part {pid}: commanded split edge {edge} is dead"
+                        )
+                    _split_local(dmesh, part, edge, point=point,
+                                 vertex_gid=vertex_gid)
+                    boundary_splits += 1
 
-        stats.boundary_splits += boundary_splits
-        splits_this_pass += boundary_splits
+            stats.boundary_splits += boundary_splits
+            splits_this_pass += boundary_splits
 
-        for part in dmesh:
-            _drop_dead_bookkeeping(part)
-            _fresh_element_gids(dmesh, part)
-        rebuild_links(dmesh)
-        stats.passes += 1
-        if splits_this_pass == 0:
-            stats.converged = True
-            break
+            for part in dmesh:
+                _drop_dead_bookkeeping(part)
+                _fresh_element_gids(dmesh, part)
+            rebuild_links(dmesh)
+            stats.passes += 1
+            if splits_this_pass == 0:
+                stats.converged = True
+                break
     dmesh.counters.add("dadapt.splits", stats.splits)
     return stats
 

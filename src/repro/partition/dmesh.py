@@ -20,13 +20,12 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from ..gmodel.model import Model
-from ..mesh.entity import Ent
-from ..obs.tracer import Tracer, current as current_tracer
+from ..obs.tracer import Tracer, current as current_tracer, trace_span
 from ..parallel.network import Network
 from ..parallel.perf import PerfCounters, GLOBAL
 from ..parallel.routing import BufferedRouter
 from ..parallel.topology import MachineTopology, flat
-from .part import Part
+from .part import Part, entity_key
 
 
 class DistributedMesh:
@@ -206,54 +205,58 @@ class DistributedMesh:
         """
         from ..mesh.verify import verify as verify_mesh
 
-        for part in self.parts:
-            if check_meshes and part.mesh.count(0):
-                verify_mesh(
-                    part.mesh,
-                    allow_dangling=bool(part.ghosts),
-                    check_classification=False,
-                )
-            for ent, copies in part.remotes.items():
-                if not part.mesh.has(ent):
-                    raise AssertionError(
-                        f"part {part.pid}: remote link from dead entity {ent}"
+        with trace_span(self.tracer, "verify"):
+            for part in self.parts:
+                if check_meshes and part.mesh.count(0):
+                    verify_mesh(
+                        part.mesh,
+                        allow_dangling=bool(part.ghosts),
+                        check_classification=False,
                     )
-                key = _entity_key(part, ent)
-                for other_pid, other_ent in copies.items():
-                    if other_pid == part.pid:
+                for ent, copies in part.remotes.items():
+                    if not part.mesh.has(ent):
                         raise AssertionError(
-                            f"part {part.pid}: self remote link on {ent}"
+                            f"part {part.pid}: remote link from dead "
+                            f"entity {ent}"
                         )
-                    other = self.part(other_pid)
-                    if not other.mesh.has(other_ent):
+                    key = entity_key(part, ent)
+                    for other_pid, other_ent in copies.items():
+                        if other_pid == part.pid:
+                            raise AssertionError(
+                                f"part {part.pid}: self remote link on {ent}"
+                            )
+                        other = self.part(other_pid)
+                        if not other.mesh.has(other_ent):
+                            raise AssertionError(
+                                f"part {part.pid}: {ent} links to dead "
+                                f"{other_ent} on part {other_pid}"
+                            )
+                        other_key = entity_key(other, other_ent)
+                        if other_key != key:
+                            raise AssertionError(
+                                f"identity mismatch: part {part.pid} {ent} "
+                                f"(key {key}) vs part {other_pid} "
+                                f"{other_ent} (key {other_key})"
+                            )
+                        back = other.remotes.get(other_ent, {})
+                        if back.get(part.pid) != ent:
+                            raise AssertionError(
+                                f"asymmetric remote link: part {part.pid} "
+                                f"{ent} -> part {other_pid} {other_ent} "
+                                "not reciprocated"
+                            )
+                for ghost, (home_pid, home_ent) in part.ghost_home.items():
+                    if not part.mesh.has(ghost):
                         raise AssertionError(
-                            f"part {part.pid}: {ent} links to dead "
-                            f"{other_ent} on part {other_pid}"
+                            f"part {part.pid}: dead ghost {ghost}"
                         )
-                    other_key = _entity_key(other, other_ent)
-                    if other_key != key:
+                    if home_ent is not None and not self.part(
+                        home_pid
+                    ).mesh.has(home_ent):
                         raise AssertionError(
-                            f"identity mismatch: part {part.pid} {ent} "
-                            f"(key {key}) vs part {other_pid} {other_ent} "
-                            f"(key {other_key})"
+                            f"part {part.pid}: ghost {ghost} home entity "
+                            "is dead"
                         )
-                    back = other.remotes.get(other_ent, {})
-                    if back.get(part.pid) != ent:
-                        raise AssertionError(
-                            f"asymmetric remote link: part {part.pid} {ent} "
-                            f"-> part {other_pid} {other_ent} not reciprocated"
-                        )
-            for ghost, (home_pid, home_ent) in part.ghost_home.items():
-                if not part.mesh.has(ghost):
-                    raise AssertionError(
-                        f"part {part.pid}: dead ghost {ghost}"
-                    )
-                if home_ent is not None and not self.part(home_pid).mesh.has(
-                    home_ent
-                ):
-                    raise AssertionError(
-                        f"part {part.pid}: ghost {ghost} home entity is dead"
-                    )
 
     def __repr__(self) -> str:
         counts = self.entity_counts().sum(axis=0)
@@ -262,12 +265,3 @@ class DistributedMesh:
             f"verts={counts[0]}, edges={counts[1]}, faces={counts[2]}, "
             f"regions={counts[3]})"
         )
-
-
-def _entity_key(part: Part, ent: Ent):
-    """Vertex-gid identity of an entity (see migration.entity_key)."""
-    if ent.dim == 0:
-        return (part.gid(ent),)
-    return tuple(sorted(part.gid(v) for v in part.mesh.verts_of(ent)))
-
-

@@ -20,27 +20,38 @@ operation.
    present on the part boundary) are created exactly once;
 3. **remove** — sources destroy the moved elements and any boundary entities
    left bounding nothing (their copies may live on, on other parts);
-4. **relink** — remote-copy links are rebuilt from scratch by a rendezvous
-   over each part's surface entities (:func:`rebuild_links`), restoring the
-   symmetric partition-boundary structure the partition model derives from.
+4. **relink** — remote-copy links are updated for the *dirty* keys only:
+   the sorted vertex-gid keys of the moved closures' entities below the
+   element dimension (:func:`_relink`).  Only sources and destinations
+   create or destroy entities, so every other link is still valid.
 
-The rebuild-from-scratch choice trades some traffic for simplicity and is
-what keeps this implementation verifiably correct under arbitrary plans;
-PUMI's incremental update is an optimization of the same result.
+The relink is a rendezvous on the key's home part in two exchanges, the
+same supersteps the full rescan (:func:`rebuild_links`) costs: sources
+report the holders each dirty entity linked to before the move, every
+source and destination reports its own handle (or that the entity is
+gone), and the home answers each remaining holder with the new holder
+list.  Its traffic scales with the moved closures, not with the surfaces
+of every part the move touches (PUMI's incremental update; Knepley, Lange
+& Gorman's "migration as a star-forest delta").  The full rescan remains
+for operations that change entities everywhere — distributed adaptation,
+snapshot loads, and migrations whose moved closures cover more than half
+of all entity copies (whole parts moving), where posting every surface
+once is cheaper than the delta's reports — and as the oracle the delta is
+tested against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..mesh.entity import Ent
-from ..mesh.topology import type_info
 from ..obs.stats import CommProbe, MigrateStats
 from ..obs.tracer import trace_span
 from ..parallel.codec import decode_int_rows, encode_int_rows
 from ..parallel.sf import BUNDLES, StarForest
 from .dmesh import DistributedMesh
-from .part import Part
+# ``entity_key`` is re-exported: it is public under this module's name.
+from .part import Part, entity_by_key, entity_key
 
 #: A migration plan: for each source part, the elements it sends away.
 MigrationPlan = Dict[int, Dict[Ent, int]]
@@ -75,6 +86,10 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
     with trace_span(tracer, "migrate"):
         outgoing: List[Tuple[int, Ent, int]] = []
         bundles: Dict[Tuple[int, Ent], dict] = {}
+        # Per part: (dim, key) of each dirty entity -> the flattened
+        # (pid, handle) links it had before the move (empty on parts
+        # that only receive it).
+        dirty: Dict[int, Dict[Tuple[int, Tuple[int, ...]], tuple]] = {}
         forest = StarForest(dmesh, name="migrate")
         with trace_span(tracer, "migrate.pack"):
             # Leaf handles are per-(source, dest) ordinals minted in sorted
@@ -101,29 +116,27 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
                         packed[mid[0]] += 1
                     packed[dim] += 1
                     bundles[(pid, element)] = bundle
+                    _note_closure(
+                        part, element, bundle, dirty.setdefault(pid, {})
+                    )
                     ordinal = ordinals.get((pid, dest), 0)
                     ordinals[(pid, dest)] = ordinal + 1
                     forest.add_leaf(dest, (pid, ordinal), pid, element)
                     outgoing.append((pid, element, dest))
                     moved += 1
 
-        # Only parts that send/receive elements — plus every part that
-        # shares anything with them — can see their links change.  The
-        # neighbor sets must be snapshotted NOW, before removal drops the
-        # dying links.
-        affected = set()
-        for pid, _element, dest in outgoing:
-            affected.add(pid)
-            affected.add(dest)
-        for pid in list(affected):
-            affected.update(dmesh.part(pid).neighbors())
+        def unpack(lpid: int, _rpid: int, items) -> None:
+            received = [bundle for _handle, bundle in items]
+            _unpack_batch(dmesh.part(lpid), received)
+            keys = dirty.setdefault(lpid, {})
+            for bundle in received:
+                for ident in _bundle_keys(bundle):
+                    keys.setdefault(ident, ())
 
         with trace_span(tracer, "migrate.unpack"):
             forest.bcast(
                 lambda rpid, element: bundles[(rpid, element)],
-                batch_set=lambda lpid, rpid, items: _unpack_batch(
-                    dmesh.part(lpid), [b for _handle, b in items]
-                ),
+                batch_set=unpack,
                 datatype=BUNDLES,
             )
 
@@ -132,7 +145,20 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
                 _remove_element(dmesh.part(pid), element)
 
         with trace_span(tracer, "migrate.relink"):
-            rebuild_links(dmesh, only_parts=affected if outgoing else [])
+            # A delta row carries its key, the reporter's handle and the
+            # old holders: about twice a rescan row.  The rescan posts at
+            # most every entity copy below the element dimension once, so
+            # once the dirty keys outnumber half those copies (whole parts
+            # moving) the rescan is the cheaper way to the same links.  Both
+            # counts are global sums: one small allreduce under MPI.
+            dirty_rows = sum(len(keys) for keys in dirty.values())
+            copies = sum(
+                part.mesh.count(d) for part in dmesh for d in range(dim)
+            )
+            if 2 * dirty_rows > copies:
+                rebuild_links(dmesh)
+            else:
+                _relink(dmesh, dirty)
     dmesh.counters.add("migration.elements", moved)
     return MigrateStats(
         elements_moved=moved,
@@ -306,27 +332,12 @@ def surface_closure(part: Part) -> List[Ent]:
     return result
 
 
-def entity_key(part: Part, ent: Ent) -> Tuple[int, ...]:
-    """Global identity of an entity: its sorted bounding-vertex gids.
-
-    Vertices carry authoritative gids; every higher entity is identified by
-    the gids of its vertices, so entities created independently on several
-    parts (e.g. by coordinated refinement of a shared edge) match without
-    any global id coordination.
-    """
-    if ent.dim == 0:
-        return (part.gid(ent),)
-    return tuple(
-        sorted(part.gid(v) for v in part.mesh.verts_of(ent))
-    )
-
-
 def _surface_entity_ids(part: Part) -> List[Tuple[int, int, Tuple[int, ...]]]:
     """Fast raw-id surface scan: ``(dim, idx, sorted vertex-gid key)``.
 
     Equivalent to :func:`surface_closure` + :func:`entity_key`, written
-    against the entity stores directly — this runs once per part per
-    migration and dominates the link-rebuild cost.
+    against the entity stores directly — this runs once per part per full
+    rebuild and dominates its cost.
     """
     mesh = part.mesh
     dim = mesh.dim()
@@ -370,42 +381,34 @@ def _surface_entity_ids(part: Part) -> List[Tuple[int, int, Tuple[int, ...]]]:
     return out
 
 
-def rebuild_links(
-    dmesh: DistributedMesh, only_parts: Optional[Iterable[int]] = None
-) -> None:
-    """Recompute remote-copy links from vertex global ids.
+def rebuild_links(dmesh: DistributedMesh) -> None:
+    """Recompute every remote-copy link from vertex global ids.
 
-    Rendezvous algorithm: each participating part posts (dim, key, local
-    handle) for all of its surface entities — where ``key`` is the sorted
-    vertex-gid tuple — to the key's home part (sum of the key modulo
-    nparts); home parts group arrivals and answer every holder of a
-    multiply-held key with the full holder list.  Links of participating
-    parts are then rewritten wholesale.  Payloads are pure integers shipped
-    as columnar int-row buffers, so the trusted (no-copy) channel carries
-    them.
+    Rendezvous algorithm: each part posts (dim, key, local handle) for all
+    of its surface entities — where ``key`` is the sorted vertex-gid tuple
+    — to the key's home part (sum of the key modulo nparts); home parts
+    group arrivals and answer every holder of a multiply-held key with the
+    full holder list.  Every part's links are then rewritten wholesale.
+    Payloads are pure integers shipped as columnar int-row buffers, so the
+    trusted (no-copy) channel carries them.
 
-    ``only_parts`` restricts the rebuild to a set of parts that is *closed
-    under sharing* — every part that might share an entity with a member
-    must itself be a member (migration passes the moved parts plus all
-    their neighbors, which has that property).  ``None`` rebuilds all.
+    This is the full rescan for operations that change entities on every
+    part (distributed adaptation, snapshot loads).  :func:`migrate` knows
+    exactly which keys it touched and updates only those (:func:`_relink`),
+    in the same two exchanges, unless the move is so large that this
+    rescan costs fewer bytes.
     """
     nparts = dmesh.nparts
-    if only_parts is None:
-        participants = list(range(nparts))
-    else:
-        participants = sorted(set(only_parts))
     router = dmesh.router(trusted=True)
-    for pid in participants:
-        part = dmesh.part(pid)
+    for part in dmesh:
         batches: Dict[int, List[Tuple[int, Tuple[int, ...], int]]] = {}
         for d, idx, key in _surface_entity_ids(part):
             batches.setdefault(sum(key) % nparts, []).append((d, key, idx))
         for home, batch in batches.items():
             # Columnar int rows: (dim, local idx, *vertex-gid key).
             blob = encode_int_rows([(d, idx) + key for d, key, idx in batch])
-            dmesh.counters.add("net.bytes.encoded", len(blob))
-            dmesh.counters.add("net.messages.coalesced", len(batch))
-            router.post(part.pid, home, _TAG_CANDIDATE, blob)
+            _post(dmesh, router, part.pid, home, _TAG_CANDIDATE, blob,
+                  len(batch))
 
     inboxes = router.exchange()
     router = dmesh.router(trusted=True)
@@ -414,49 +417,144 @@ def rebuild_links(
         for src, _tag, batch in inboxes[home]:
             for row in decode_int_rows(batch):
                 groups.setdefault((row[0], row[2:]), []).append((src, row[1]))
-        answers: Dict[int, List[Tuple[int, int, List[Tuple[int, int]]]]] = {}
+        answers: Dict[int, List[Tuple[int, ...]]] = {}
         for (d, _key), holders in sorted(groups.items()):
-            if len(holders) < 2:
-                continue
-            for pid, idx in holders:
-                others = [(q, j) for q, j in holders if q != pid]
-                answers.setdefault(pid, []).append((d, idx, others))
-        for pid, batch in answers.items():
-            # Rows: (dim, local idx, holder pid/idx pairs flattened).
-            blob = encode_int_rows(
-                [
-                    (d, idx) + tuple(v for pair in others for v in pair)
-                    for d, idx, others in batch
-                ]
-            )
-            dmesh.counters.add("net.bytes.encoded", len(blob))
-            dmesh.counters.add("net.messages.coalesced", len(batch))
-            router.post(home, pid, _TAG_LINKS, blob)
+            if len(holders) >= 2:
+                _answer(answers, d, holders)
+        _post_answers(dmesh, router, home, answers)
 
     responses = router.exchange()
-    participant_set = set(participants)
-    full_rebuild = len(participants) == nparts
-    for pid in participants:
+    for part in dmesh:
+        part.remotes.clear()
+    _apply_answers(dmesh, responses)
+    dmesh.counters.add("migration.relinks")
+
+
+def _bundle_keys(bundle: dict):
+    """``(dim, entity key)`` of a closure bundle's entities below the
+    element, in closure order (vertices, then edges and faces)."""
+    for gid, _coords, _gclass in bundle["verts"]:
+        yield (0, (gid,))
+    for d, _gid, _etype, vert_gids, _gclass in bundle["mids"]:
+        yield (d, tuple(sorted(vert_gids)))
+
+
+def _note_closure(part: Part, element: Ent, bundle: dict,
+                  dirty: dict) -> None:
+    """Record an outgoing element's dirty keys with their current links.
+
+    The links (flattened ``(pid, handle)`` pairs) must be read before
+    removal drops them.
+    """
+    mesh = part.mesh
+    closure = [
+        ent for d in range(element.dim) for ent in mesh.adjacent(element, d)
+    ]
+    for ident, ent in zip(_bundle_keys(bundle), closure):
+        if ident not in dirty:
+            dirty[ident] = tuple(
+                v
+                for q, other in sorted(part.remotes.get(ent, {}).items())
+                for v in (q, other.idx)
+            )
+
+
+def _relink(
+    dmesh: DistributedMesh,
+    dirty: Dict[int, Dict[Tuple[int, Tuple[int, ...]], tuple]],
+) -> None:
+    """Update remote-copy links for a migration's dirty keys only.
+
+    ``dirty`` maps each source and destination part to its dirty keys and,
+    on sources, the holders each key linked to before the move.  Every
+    such part reports, to the key's home, its own handle for the key after
+    the move (-1 when gone) and those old holders.  The home merges the
+    reports — a part's report about itself overrides what others said
+    about it — and answers every remaining holder with the others, an
+    empty answer dropping the holder's link.  Parts that neither sent nor
+    received hold the same handles as before, so the sources' old links
+    name them correctly and they learn of the change from the answers.
+    """
+    nparts = dmesh.nparts
+    router = dmesh.router(trusted=True)
+    for pid in sorted(dirty):
         part = dmesh.part(pid)
-        if full_rebuild:
-            part.remotes.clear()
-            continue
-        # Partial rebuild: recompute only links *among* participants; a
-        # participant's links to outside parts cannot have changed (no
-        # elements moved on either side of those boundaries) and outside
-        # parts do not post, so their entries must be preserved.
-        for ent in list(part.remotes):
-            copies = part.remotes[ent]
-            for q in [q for q in copies if q in participant_set]:
-                del copies[q]
-            if not copies:
-                del part.remotes[ent]
+        batches: Dict[int, List[Tuple[int, ...]]] = {}
+        for (d, key), links in dirty[pid].items():
+            ent = entity_by_key(part, d, key)
+            own = ent.idx if ent is not None else -1
+            # Rows: (dim, key length, *key, own handle, *old holder pairs).
+            batches.setdefault(sum(key) % nparts, []).append(
+                (d, len(key)) + key + (own,) + links
+            )
+        for home, rows in batches.items():
+            _post(dmesh, router, pid, home, _TAG_CANDIDATE,
+                  encode_int_rows(rows), len(rows))
+
+    inboxes = router.exchange()
+    router = dmesh.router(trusted=True)
+    for home in sorted(inboxes):
+        heard: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
+        told: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
+        for src, _tag, batch in inboxes[home]:
+            for row in decode_int_rows(batch):
+                n = row[1]
+                ident = (row[0], row[2:2 + n])
+                told.setdefault(ident, {})[src] = row[2 + n]
+                holders = heard.setdefault(ident, {})
+                for i in range(3 + n, len(row), 2):
+                    holders[row[i]] = row[i + 1]
+        answers: Dict[int, List[Tuple[int, ...]]] = {}
+        for ident in sorted(told):
+            holders = heard[ident]
+            holders.update(told[ident])
+            _answer(
+                answers,
+                ident[0],
+                sorted((q, h) for q, h in holders.items() if h >= 0),
+            )
+        _post_answers(dmesh, router, home, answers)
+
+    _apply_answers(dmesh, router.exchange())
+    dmesh.counters.add("migration.relinks")
+
+
+def _post(dmesh, router, src: int, dest: int, tag: int, blob: bytes,
+          rows: int) -> None:
+    dmesh.counters.add("net.bytes.encoded", len(blob))
+    dmesh.counters.add("net.messages.coalesced", rows)
+    router.post(src, dest, tag, blob)
+
+
+def _answer(answers: Dict[int, List[Tuple[int, ...]]], d: int,
+            holders: List[Tuple[int, int]]) -> None:
+    """Queue, for every holder, a row naming all the other holders."""
+    for pid, idx in holders:
+        answers.setdefault(pid, []).append(
+            (d, idx)
+            + tuple(v for pair in holders if pair[0] != pid for v in pair)
+        )
+
+
+def _post_answers(dmesh, router, home: int,
+                  answers: Dict[int, List[Tuple[int, ...]]]) -> None:
+    # Rows: (dim, local idx, holder pid/idx pairs flattened).
+    for pid, rows in answers.items():
+        _post(dmesh, router, home, pid, _TAG_LINKS, encode_int_rows(rows),
+              len(rows))
+
+
+def _apply_answers(dmesh: DistributedMesh, responses) -> None:
+    """Set each answered entity's links, or drop them on an empty answer."""
     for pid in sorted(responses):
         part = dmesh.part(pid)
         for _src, _tag, batch in responses[pid]:
             for row in decode_int_rows(batch):
-                d, idx = row[0], row[1]
-                entry = part.remotes.setdefault(Ent(d, idx), {})
-                for i in range(2, len(row), 2):
-                    entry[row[i]] = Ent(d, row[i + 1])
-    dmesh.counters.add("migration.relinks")
+                d, ent = row[0], Ent(row[0], row[1])
+                if len(row) == 2:
+                    part.remotes.pop(ent, None)
+                else:
+                    part.remotes[ent] = {
+                        row[i]: Ent(d, row[i + 1])
+                        for i in range(2, len(row), 2)
+                    }

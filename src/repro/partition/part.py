@@ -228,3 +228,32 @@ class Part:
             f"Part({self.pid}, verts={v}, edges={e}, faces={f}, regions={r}, "
             f"shared={len(self.remotes)}, ghosts={len(self.ghosts)})"
         )
+
+
+# -- entity identity across parts ----------------------------------------------
+
+
+def entity_key(part: Part, ent: Ent) -> Tuple[int, ...]:
+    """Global identity of an entity: its sorted bounding-vertex gids.
+
+    Vertices carry authoritative gids; every higher entity is identified by
+    the gids of its vertices, so entities created independently on several
+    parts (e.g. by coordinated refinement of a shared edge) match without
+    any global id coordination.  :func:`entity_by_key` is the inverse.
+    """
+    if ent.dim == 0:
+        return (part.gid(ent),)
+    return tuple(sorted(part.gid(v) for v in part.mesh.verts_of(ent)))
+
+
+def entity_by_key(part: Part, dim: int, key: Tuple[int, ...]) -> Optional[Ent]:
+    """The live local entity of ``dim`` with identity ``key``, or None."""
+    if dim == 0:
+        return part.by_gid(0, key[0])
+    verts = []
+    for gid in key:
+        vert = part.by_gid(0, gid)
+        if vert is None:
+            return None
+        verts.append(vert)
+    return part.mesh.find(dim, verts)

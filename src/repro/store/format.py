@@ -44,7 +44,7 @@ from ..parallel import codec
 from ..partition.dmesh import DistributedMesh
 from ..partition.fieldsync import DistributedField
 from ..partition.ghosting import Overlap
-from ..partition.migration import entity_key
+from ..partition.part import entity_key
 
 __all__ = [
     "CorruptCheckpointError",

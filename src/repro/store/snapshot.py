@@ -44,8 +44,8 @@ from ..parallel.sf import StarForest
 from ..parallel.topology import MachineTopology
 from ..partition.dmesh import DistributedMesh
 from ..partition.fieldsync import DistributedField
-from ..partition.migration import entity_key, rebuild_links
-from ..partition.part import Part
+from ..partition.migration import rebuild_links
+from ..partition.part import Part, entity_key
 from .format import (
     DEFAULT_CHUNK_RECORDS,
     FORMAT,
@@ -801,19 +801,12 @@ def _restore_intermediate_gids(dmesh: DistributedMesh) -> None:
     for d in range(1, dim):
         keys = set()
         for part in dmesh:
-            gid0 = part.gid_array(0)
             for ent in part.mesh.entities(d):
-                keys.add(
-                    tuple(sorted(gid0[v.idx] for v in part.mesh.verts_of(ent)))
-                )
+                keys.add(entity_key(part, ent))
         base = dmesh._gid_next[d]
         gid_of = {key: base + i for i, key in enumerate(sorted(keys))}
         for part in dmesh:
-            gid0 = part.gid_array(0)
             for ent in part.mesh.entities(d):
                 if not part.has_gid(ent):
-                    key = tuple(
-                        sorted(gid0[v.idx] for v in part.mesh.verts_of(ent))
-                    )
-                    part.set_gid(ent, gid_of[key])
+                    part.set_gid(ent, gid_of[entity_key(part, ent)])
         dmesh._gid_next[d] = base + len(keys)

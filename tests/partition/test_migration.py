@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.mesh import Ent, box_tet, rect_tri
+from repro.obs import Tracer
+from repro.obs.stats import CommProbe
+from repro.parallel import PerfCounters
 from repro.partition import (
     distribute,
     merge_parts,
@@ -177,6 +180,29 @@ def test_rebuild_links_is_idempotent(dm):
     rebuild_links(dm)
     for part in dm:
         assert part.remotes == snapshot[part.pid]
+    dm.verify()
+
+
+def test_one_element_migration_relinks_only_its_closure():
+    """One moved tet costs the same supersteps as a rescan-based relink
+    (bundle bcast + two relink exchanges) but relinks with at most a fifth
+    of a full ``rebuild_links``'s encoded bytes."""
+    mesh = box_tet(4)
+    counters = PerfCounters()
+    dm = distribute(mesh, strip(mesh, 8), counters=counters)
+    dm.tracer = Tracer(counters=counters)
+    element = sorted(dm.part(3).mesh.entities(3))[0]
+    stats = migrate(dm, {3: {element: 4}})
+    assert stats.elements_moved == 1
+    assert stats.supersteps == 3
+    relink = dm.tracer.roots[-1].find("migrate.relink")
+    assert relink.supersteps == 2
+    relink_bytes = relink.counter_deltas["net.bytes.encoded"]
+
+    probe = CommProbe(counters)
+    rebuild_links(dm)
+    assert probe.supersteps() == 2
+    assert 0 < relink_bytes <= probe.encoded_bytes() / 5
     dm.verify()
 
 

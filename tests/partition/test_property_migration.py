@@ -148,11 +148,11 @@ def test_3d_random_migration(seed):
     )
 )
 def test_sequential_migrations_keep_links_consistent(steps):
-    """Chained migrations (the partial link-rebuild path) never desync.
+    """Chained migrations (each relinking only its dirty keys) never desync.
 
-    Regression guard for the affected-set computation: the neighbor
-    snapshot must be taken before dying links are dropped, or a later
-    partial rebuild misses parts and leaves stale links behind.
+    Regression guard for the delta relink: a source's links must be read
+    before removal drops them, or a later migration starts from stale
+    links.
     """
     dm = fresh_dmesh([i % NPARTS for i in range(_NELEMS)])
     for src, nth, dest, batch in steps:
@@ -182,6 +182,154 @@ def test_emptying_and_refilling_part_through_chain():
         do_migrate(dm, {0: {e: 1 for e in elements}})
         dm.verify()
     assert dm.part(1).mesh.count(2) == 8
+
+
+# -- delta relink vs the full rescan ------------------------------------------
+#
+# ``migrate`` re-links only the keys its moved closures touch.  The oracle
+# is the full ``rebuild_links`` rescan: after every migration — random
+# multi-source plans, sends to non-neighbour parts, a part emptied and
+# refilled, and every migration ParMA makes — each part's links must equal
+# what the rescan produces.
+
+from unittest import mock
+
+from repro.core import improve as improve_module
+from repro.core.balancer import ParMA
+from repro.mesh import box_hex, extrude_to_prisms, rect_quad
+from repro.partition import migration as migration_module
+from repro.partition import rebuild_links
+
+_ORACLE_MESHES = {
+    "tet": box_tet(2),
+    "tri": rect_tri(6),
+    "quad": rect_quad(6),
+    "hex": box_hex(3),
+    "prism": extrude_to_prisms(rect_tri(3), layers=2),
+}
+
+
+def _assert_links_match_full_rebuild(dm):
+    delta = [dict(part.remotes) for part in dm]
+    rebuild_links(dm)
+    assert [dict(part.remotes) for part in dm] == delta
+    dm.verify()
+
+
+def _checked_migrate(dm, plan):
+    stats = migrate(dm, plan)
+    _assert_links_match_full_rebuild(dm)
+    return stats
+
+
+def _delta_migrate(dm, plan):
+    """A checked migration that must have taken the delta relink."""
+    with mock.patch.object(
+        migration_module, "_relink", wraps=migration_module._relink
+    ) as delta:
+        _checked_migrate(dm, plan)
+    assert delta.call_count == 1
+
+
+def _elements(part):
+    return sorted(part.mesh.entities(part.mesh.dim()))
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(sorted(_ORACLE_MESHES)),
+    seed=st.integers(0, 10_000),
+    steps=st.lists(
+        st.lists(
+            st.tuples(st.integers(0, NPARTS - 1), st.integers(0, 500),
+                      st.integers(0, NPARTS - 1)),
+            min_size=1,
+            max_size=8,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_delta_relink_matches_full_rebuild(kind, seed, steps):
+    mesh = _ORACLE_MESHES[kind]
+    rng = np.random.default_rng(seed)
+    dm = distribute(
+        mesh, rng.integers(0, NPARTS, mesh.count(mesh.dim())).tolist(),
+        nparts=NPARTS,
+    )
+    # Random plans: several sources, each element to any part.
+    for moves in steps:
+        plan = {}
+        for src, nth, dest in moves:
+            elements = _elements(dm.part(src))
+            if elements:
+                element = elements[nth % len(elements)]
+                plan.setdefault(src, {}).setdefault(element, dest)
+        _checked_migrate(dm, plan)
+
+    # A send to a part that shares nothing with the source.
+    for part in dm:
+        strangers = set(range(NPARTS)) - part.neighbors() - {part.pid}
+        if strangers and _elements(part):
+            _delta_migrate(
+                dm, {part.pid: {_elements(part)[0]: min(strangers)}}
+            )
+            break
+
+    # Empty the smallest part, an element at a time to every other part,
+    # then refill it from two sources at once.
+    counts = dm.entity_counts()[:, dm.element_dim()]
+    emptied = min(
+        (pid for pid in range(NPARTS) if counts[pid]),
+        key=lambda pid: (counts[pid], pid),
+    )
+    others = [pid for pid in range(NPARTS) if pid != emptied]
+    turn = 0
+    while _elements(dm.part(emptied)):
+        element = _elements(dm.part(emptied))[0]
+        _delta_migrate(dm, {emptied: {element: others[turn % 3]}})
+        turn += 1
+    sources = [pid for pid in others if _elements(dm.part(pid))][:2]
+    _delta_migrate(
+        dm, {pid: {_elements(dm.part(pid))[-1]: emptied} for pid in sources}
+    )
+    assert len(_elements(dm.part(emptied))) == len(sources)
+
+    # ParMA: check after each of its migrations.
+    with mock.patch.object(improve_module, "migrate", _checked_migrate):
+        ParMA(dm).improve("Vtx > Rgn")
+    assert sum(dm.entity_counts()[:, dm.element_dim()]) == (
+        mesh.count(mesh.dim())
+    )
+
+
+def test_whole_part_moves_fall_back_to_the_rescan():
+    """Rotating every part's elements to the next part relinks through the
+    full rescan: its relink bytes equal a ``rebuild_links`` of the result."""
+    from repro.obs import Tracer
+    from repro.obs.stats import CommProbe
+    from repro.parallel import PerfCounters
+
+    counters = PerfCounters()
+    dm = distribute(
+        _BASE_MESH, [i % NPARTS for i in range(_NELEMS)], nparts=NPARTS,
+        counters=counters,
+    )
+    dm.tracer = Tracer(counters=counters)
+    plan = {
+        part.pid: {e: (part.pid + 1) % NPARTS for e in _elements(part)}
+        for part in dm
+    }
+    with mock.patch.object(
+        migration_module, "_relink", wraps=migration_module._relink
+    ) as delta:
+        migrate(dm, plan)
+    assert delta.call_count == 0
+    relink = dm.tracer.roots[-1].find("migrate.relink")
+    probe = CommProbe(counters)
+    _assert_links_match_full_rebuild(dm)
+    assert relink.counter_deltas["net.bytes.encoded"] == probe.encoded_bytes()
 
 
 # -- randomized op-sequence differential vs serial replay -------------------

@@ -77,15 +77,19 @@ def test_part_counters():
 
 def test_entity_key_shapes():
     from repro.partition.migration import entity_key
+    from repro.partition.part import entity_by_key
 
     mesh = rect_tri(2)
     dm = distribute(mesh, strips(mesh, 2))
     part = dm.part(0)
     v = next(part.mesh.entities(0))
     assert entity_key(part, v) == (part.gid(v),)
+    assert entity_by_key(part, 0, (part.gid(v),)) == v
     e = next(part.mesh.entities(1))
     key = entity_key(part, e)
     assert len(key) == 2 and key == tuple(sorted(key))
+    assert entity_by_key(part, 1, key) == e
+    assert entity_by_key(part, 1, (key[0], 10**9)) is None
 
 
 def test_spawn_empty_part():
