@@ -40,7 +40,7 @@ def can_collapse_classification(mesh: Mesh, a: Ent, b: Ent) -> bool:
         return True  # interior vertex
     # Boundary vertex: b must lie on the same model entity (or its closure
     # boundary would be distorted).
-    return gb is not None and (gb == ga or gb in mesh.model.closure(ga))
+    return gb is not None and (gb == ga or gb in mesh.model.closure_set(ga))
 
 
 def collapse_edge(

@@ -52,21 +52,31 @@ def classify_from_closure(
     if every other classification is in the closure of ``g``, the entity is
     on ``g``; otherwise it is interior to the lowest-dimension model entity
     whose closure covers all of them (found by walking upward).
+
+    The rule depends only on the *set* of classifications, so results are
+    memoized per set in the model's classification table
+    (:attr:`Model.classify_memo`), emptied whenever the topology changes.
     """
-    gents = list(vertex_classifications)
+    key = frozenset(vertex_classifications)
+    found = model.classify_memo.get(key)
+    if found is None:
+        found = model.classify_memo[key] = _cover(model, key)
+    return found
+
+
+def _cover(model: Model, gents: frozenset) -> ModelEntity:
+    """The closure rule on a set of classifications (order-free)."""
     if not gents:
         raise ValueError("need at least one vertex classification")
     best = max(gents, key=lambda g: (g.dim, -g.tag))
-    closure = set(model.closure(best))
-    if all(g in closure for g in gents):
+    if gents <= model.closure_set(best):
         return best
     # Walk up from `best` looking for a covering entity, lowest dim first.
     for dim in range(best.dim + 1, 4):
         for cand in model.adjacent(best, dim):
-            closure = set(model.closure(cand))
-            if all(g in closure for g in gents):
+            if gents <= model.closure_set(cand):
                 return cand
     raise ValueError(
-        f"no model entity covers classifications {gents}; "
+        f"no model entity covers classifications {sorted(gents)}; "
         "is the mesh consistent with the model?"
     )

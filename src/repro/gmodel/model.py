@@ -18,7 +18,7 @@ functional interface that answers two kinds of questions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -48,6 +48,11 @@ class Model:
     queries walk the one-level relations.  This matches the paper's "complete
     representation" requirement at the model level: any adjacency is
     retrievable in time independent of model size.
+
+    Answers derived from the topology — sorted entity tuples, closure sets
+    and the classification table of :mod:`repro.gmodel.classify` — are
+    cached; :meth:`add` and :meth:`add_adjacency`, the only topology
+    mutators, empty every cache when they change anything.
     """
 
     def __init__(self) -> None:
@@ -55,6 +60,16 @@ class Model:
         self._down: Dict[ModelEntity, List[ModelEntity]] = {}
         self._up: Dict[ModelEntity, List[ModelEntity]] = {}
         self._shapes: Dict[ModelEntity, Any] = {}
+        self._sorted: List[Optional[Tuple[ModelEntity, ...]]] = [None] * 4
+        self._closures: Dict[ModelEntity, FrozenSet[ModelEntity]] = {}
+        #: Classification table: frozenset of vertex classifications ->
+        #: the entity they classify on (filled by ``classify_from_closure``).
+        self.classify_memo: Dict[FrozenSet[ModelEntity], ModelEntity] = {}
+
+    def _invalidate(self) -> None:
+        self._sorted = [None] * 4
+        self._closures.clear()
+        self.classify_memo.clear()
 
     # -- construction -----------------------------------------------------
 
@@ -65,6 +80,7 @@ class Model:
             self._entities[dim].add(ent)
             self._down[ent] = []
             self._up[ent] = []
+            self._invalidate()
         return ent
 
     def add_adjacency(self, upper: ModelEntity, lower: ModelEntity) -> None:
@@ -79,6 +95,7 @@ class Model:
         if lower not in self._down[upper]:
             self._down[upper].append(lower)
             self._up[lower].append(upper)
+            self._invalidate()
 
     def set_shape(self, ent: ModelEntity, shape: Any) -> None:
         """Attach a geometric shape evaluator to ``ent``."""
@@ -93,7 +110,10 @@ class Model:
 
     def entities(self, dim: int) -> Iterator[ModelEntity]:
         """Iterate entities of one dimension in deterministic (tag) order."""
-        return iter(sorted(self._entities[dim]))
+        ordered = self._sorted[dim]
+        if ordered is None:
+            ordered = self._sorted[dim] = tuple(sorted(self._entities[dim]))
+        return iter(ordered)
 
     def count(self, dim: int) -> int:
         return len(self._entities[dim])
@@ -136,6 +156,13 @@ class Model:
         for dim in range(ent.dim - 1, -1, -1):
             result.extend(self.adjacent(ent, dim))
         return result
+
+    def closure_set(self, ent: ModelEntity) -> FrozenSet[ModelEntity]:
+        """:meth:`closure` as a frozenset, cached until the topology changes."""
+        found = self._closures.get(ent)
+        if found is None:
+            found = self._closures[ent] = frozenset(self.closure(ent))
+        return found
 
     def shape(self, ent: ModelEntity) -> Optional[Any]:
         return self._shapes.get(ent)

@@ -23,7 +23,7 @@ import numpy as np
 from ..gmodel.model import Model
 from .entity import Ent
 from .mesh import Mesh
-from .topology import EDGE, TRI, VERTEX, type_info
+from .topology import EDGE, TRI, type_info
 
 
 def from_connectivity(
@@ -61,12 +61,7 @@ def from_connectivity(
 
     mesh = Mesh(model)
     core = mesh.core
-
-    # Vertices: one block append plus the coordinate columns.
-    nverts = len(coords)
-    core.append_block(0, np.full(nverts, VERTEX, dtype=np.int16), None, None)
-    mesh._coords = np.zeros((max(nverts, 1), 3), dtype=float)
-    mesh._coords[:nverts, : coords.shape[1]] = coords
+    mesh.create_vertices(coords)
 
     if len(elements) == 0:
         return mesh
@@ -185,29 +180,19 @@ def _from_connectivity_mixed_faces(mesh, info, etype, elements):
 
 
 def classify_cheap(mesh: Mesh, model: Model, tol: float = 1e-9) -> None:
-    """Classify all entities against ``model``, fast-pathing the interior.
+    """Classify all entities against ``model``: vertices by point location,
+    the rest in bulk by :meth:`~repro.mesh.mesh.Mesh.classify_missing`.
 
-    Vertices classify by point location.  A higher entity with any vertex
-    classified on the model's top-dimension entity must itself be interior,
-    which skips the full closure rule for the vast majority of entities; only
-    entities entirely on the domain boundary take the general path.
+    The closure rule runs once per distinct set of vertex classifications
+    (a few dozen per mesh), so interior and boundary entities alike cost a
+    table lookup, not a rule evaluation each.
     """
-    from ..gmodel.classify import classify_from_closure, classify_point
+    from ..gmodel.classify import classify_point
 
     mesh.model = model
-    top_dim = model.dim()
     for v in mesh.entities(0):
         gent = classify_point(model, mesh.coords(v), tol)
         if gent is None:
             raise ValueError(f"vertex {v} lies outside the model")
         mesh.set_classification(v, gent)
-    for dim in range(1, mesh.dim() + 1):
-        for ent in mesh.entities(dim):
-            gents = [mesh.classification(v) for v in mesh.verts_of(ent)]
-            interior = next((g for g in gents if g.dim == top_dim), None)
-            if interior is not None:
-                mesh.set_classification(ent, interior)
-            else:
-                mesh.set_classification(
-                    ent, classify_from_closure(model, gents)
-                )
+    mesh.classify_missing()

@@ -12,10 +12,11 @@ indexed by integer entity handles:
 * ``up[d]``      — padded one-level upward rows (``nup[d]`` counts), each
   row kept **sorted ascending** so membership tests and removals are
   binary searches and wire traversals are deterministic,
-* ``free[d]``    — LIFO free-list of dead slots; :meth:`create` pops it, so
-  handles **are reused** (unlike the legacy object store).  Consumers that
-  key external state by handle must register a destroy listener on the
-  owning :class:`~repro.mesh.mesh.Mesh` to evict stale entries eagerly.
+* ``free[d]``    — LIFO free-list of dead slots; :meth:`create` and the
+  block allocator :meth:`alloc_block` pop it, so handles **are reused**
+  (unlike the legacy object store).  Consumers that key external state by
+  handle must register a destroy listener on the owning
+  :class:`~repro.mesh.mesh.Mesh` to evict stale entries eagerly.
 
 Padded fixed-stride rows are the mutable-topology variant of CSR: every
 row's prefix is the CSR segment and the count array is the (implicit)
@@ -150,6 +151,51 @@ class MeshCore:
         self._version[dim] += 1
         return idx
 
+    def alloc_block(self, dim: int, n: int) -> np.ndarray:
+        """Reserve ``n`` slots in the order ``n`` :meth:`create` calls take
+        them: popping the free-list (LIFO), then extending from ``top``.
+
+        The slots come back alive with no upward users; the caller fills
+        their rows with :meth:`write_rows`.
+        """
+        free = self.free[dim]
+        k = min(n, len(free))
+        reused = free[len(free) - k:][::-1]
+        del free[len(free) - k:]
+        start = self.top[dim]
+        self._grow(dim, start + n - k)
+        self.top[dim] = start + n - k
+        ids = np.concatenate((
+            np.asarray(reused, dtype=_ID),
+            np.arange(start, start + n - k, dtype=_ID),
+        ))
+        self.alive[dim][ids] = True
+        self.nup[dim][ids] = 0
+        self.n_alive[dim] += n
+        self._version[dim] += 1
+        return ids
+
+    def write_rows(
+        self,
+        dim: int,
+        ids: np.ndarray,
+        etypes: np.ndarray,
+        verts: np.ndarray,
+        down: np.ndarray,
+    ) -> None:
+        """Fill the rows of allocated slots from uniform-width matrices
+        (vertex rows are implicit for ``dim == 0``)."""
+        self.etype[dim][ids] = etypes
+        if dim == 0:
+            self.nverts[0][ids] = 1
+            self.verts[0][ids, 0] = ids
+        else:
+            self.nverts[dim][ids] = verts.shape[1]
+            self.verts[dim][ids, : verts.shape[1]] = verts
+        if down is not None and down.size:
+            self.ndown[dim][ids] = down.shape[1]
+            self.down[dim][ids, : down.shape[1]] = down
+
     def append_block(
         self,
         dim: int,
@@ -157,30 +203,14 @@ class MeshCore:
         verts: np.ndarray,
         down: np.ndarray,
     ) -> np.ndarray:
-        """Bulk-append ``len(etypes)`` entities at the top; returns their ids.
+        """Bulk-create ``len(etypes)`` entities of one width; returns their
+        ids, allocated as by :meth:`alloc_block`.
 
-        Used by :func:`repro.mesh.build.from_connectivity`; block appends
-        never consult the free-list (bulk construction happens on fresh
-        meshes where it is empty anyway).
+        Used by :func:`repro.mesh.build.from_connectivity`, where the mesh is
+        fresh, so the ids are consecutive from ``top``.
         """
-        n = len(etypes)
-        start = self.top[dim]
-        self._grow(dim, start + n)
-        ids = np.arange(start, start + n, dtype=_ID)
-        self.etype[dim][start : start + n] = etypes
-        self.alive[dim][start : start + n] = True
-        if dim == 0:
-            self.nverts[dim][start : start + n] = 1
-            self.verts[dim][start : start + n, 0] = ids
-        else:
-            self.nverts[dim][start : start + n] = verts.shape[1]
-            self.verts[dim][start : start + n, : verts.shape[1]] = verts
-        if down is not None and down.size:
-            self.ndown[dim][start : start + n] = down.shape[1]
-            self.down[dim][start : start + n, : down.shape[1]] = down
-        self.top[dim] = start + n
-        self.n_alive[dim] += n
-        self._version[dim] += 1
+        ids = self.alloc_block(dim, len(etypes))
+        self.write_rows(dim, ids, etypes, verts, down)
         return ids
 
     def destroy(self, dim: int, idx: int) -> None:
@@ -300,22 +330,31 @@ class MeshCore:
     ) -> None:
         """Record ``upper_ids[k]`` as an upward user of ``lower_ids[k]``, bulk.
 
-        ``upper_ids`` must arrive grouped in ascending order per lower id
-        when sorted stably by lower id (true for construction order, where
-        uppers are appended ascending) so rows come out sorted.
+        The touched rows are re-sorted afterwards, so uppers may arrive in
+        any order (recycled handles land below existing entries).
         """
         if len(lower_ids) == 0:
             return
-        order = np.argsort(lower_ids, kind="stable")
-        lo = np.asarray(lower_ids, dtype=np.int64)[order]
+        lo = np.asarray(lower_ids, dtype=np.int64)
+        order = np.argsort(lo, kind="stable")
+        lo = lo[order]
         hi = np.asarray(upper_ids, dtype=_ID)[order]
-        counts = np.bincount(lo, minlength=self.top[dim])
-        self._grow_up_width(dim, int(counts.max()) + int(self.nup[dim].max()))
-        starts = np.zeros(len(counts), dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        col = self.nup[dim][lo] + (np.arange(len(lo)) - starts[lo])
-        self.up[dim][lo, col] = hi
-        self.nup[dim][: len(counts)] += counts.astype(np.int32)
+        # Work on the touched rows only: cost follows the block, not the mesh.
+        first = np.flatnonzero(np.concatenate(([True], lo[1:] != lo[:-1])))
+        touched = lo[first]
+        counts = np.diff(np.append(first, len(lo)))
+        base = self.nup[dim][touched].astype(np.int64)
+        total = base + counts
+        width = int(total.max())
+        self._grow_up_width(dim, width)
+        self.up[dim][lo, np.repeat(base - first, counts) + np.arange(len(lo))] = hi
+        self.nup[dim][touched] = total
+        rows = self.up[dim][touched, :width]
+        pad = np.arange(width) >= total[:, None]
+        rows[pad] = np.iinfo(_ID).max
+        rows.sort(axis=1)
+        rows[pad] = 0
+        self.up[dim][touched, :width] = rows
 
     # -- compat helpers -----------------------------------------------------
 

@@ -42,7 +42,7 @@ def classified_on(
     if closure:
         if mesh.model is None:
             raise ValueError("closure filtering requires the mesh's model")
-        allowed = set(mesh.model.closure(gent))
+        allowed = mesh.model.closure_set(gent)
     else:
         allowed = {gent}
     for ent in mesh.entities(dim):

@@ -114,10 +114,7 @@ class Mesh:
     ) -> Ent:
         """Create a vertex at ``xyz`` (2D points get z=0)."""
         idx = self.core.create(0, VERTEX, (), ())
-        if idx >= len(self._coords):
-            grown = np.zeros((max(2 * len(self._coords), idx + 1), 3))
-            grown[: len(self._coords)] = self._coords
-            self._coords = grown
+        self._grow_coords(idx + 1)
         point = np.asarray(xyz, dtype=float)
         self._coords[idx] = 0.0
         self._coords[idx, : point.shape[0]] = point
@@ -125,6 +122,37 @@ class Mesh:
         if classification is not None:
             self.set_classification(ent, classification)
         return ent
+
+    def create_vertices(
+        self,
+        xyz: Sequence[Sequence[float]],
+        classification: Optional[Sequence[Optional[ModelEntity]]] = None,
+    ) -> np.ndarray:
+        """Create one vertex per row of ``xyz`` in a block; returns handles.
+
+        The handles are those the same sequence of :meth:`create_vertex`
+        calls would get; ``classification[i]`` (when not None) classifies
+        vertex ``i``.
+        """
+        if len(xyz) == 0:
+            return np.empty(0, dtype=np.int32)
+        points = np.asarray(xyz, dtype=float)
+        if classification is not None:
+            self._check_classes(0, classification)
+        ids = self.core.alloc_block(0, len(points))
+        self.core.write_rows(0, ids, VERTEX, None, None)
+        self._grow_coords(self.core.top[0])
+        self._coords[ids] = 0.0
+        self._coords[ids, : points.shape[1]] = points
+        if classification is not None:
+            self._classify_rows(0, ids.tolist(), classification)
+        return ids
+
+    def _grow_coords(self, need: int) -> None:
+        if need > len(self._coords):
+            grown = np.zeros((max(2 * len(self._coords), need), 3))
+            grown[: len(self._coords)] = self._coords
+            self._coords = grown
 
     def create(
         self,
@@ -164,6 +192,131 @@ class Mesh:
         if classification is not None:
             self.set_classification(ent, classification)
         return ent
+
+    def ensure_block(
+        self,
+        dim: int,
+        etypes: Sequence[int],
+        vert_rows: Sequence[Sequence[int]],
+        classification: Optional[Sequence[Optional[ModelEntity]]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Find or create a block of ``dim``-entities from vertex-handle rows.
+
+        The bulk form of :meth:`create` for callers holding whole closures
+        (migration and ghost unpack): row ``i`` names an entity of type
+        ``etypes[i]`` by its canonical vertex handles.  Rows already in the
+        mesh, or repeated within the block, resolve to that entity; the
+        others are created with the handles the same sequence of
+        :meth:`create` calls would give them.  Their boundary of dimension
+        ``dim - 1`` must exist already (ensure the lower dimension first).
+        ``classification[i]``, when not None, classifies row ``i``'s entity
+        if this call creates it.
+
+        Returns ``(handles, created)``: each row's entity and whether this
+        call created it (true on the first row naming a new entity).
+        Malformed rows raise ``ValueError`` before the mesh changes.
+        """
+        if not 1 <= dim <= 3:
+            raise ValueError(f"ensure_block supports dims 1..3, got {dim}")
+        lookup = self._lookup[dim - 1]
+        below = self._lookup[dim - 2] if dim >= 2 else None
+        handles = [0] * len(etypes)
+        created = np.zeros(len(etypes), dtype=bool)
+        pending: Dict[Tuple[int, ...], int] = {}
+        new_rows: List[int] = []
+        new_down: List[Tuple[int, ...]] = []
+        slots: List[Tuple[int, int]] = []
+        subs_of: Dict[int, Any] = {}
+        for i, (etype, row) in enumerate(zip(etypes, vert_rows)):
+            subs = subs_of.get(etype)
+            if subs is None:
+                subs = subs_of[etype] = self._boundary_locals(dim, etype)
+            if len(row) != subs[0]:
+                raise ValueError(
+                    f"{type_info(etype).name} needs {subs[0]} vertices, "
+                    f"got {len(row)}"
+                )
+            key = tuple(sorted(row))
+            if len(set(key)) != len(key):
+                raise ValueError(
+                    f"{type_info(etype).name} has repeated vertices: "
+                    f"{tuple(row)}"
+                )
+            found = lookup.get(key)
+            if found is not None:
+                handles[i] = found
+                continue
+            slot = pending.get(key)
+            if slot is None:
+                if below is None:
+                    down = tuple(row)
+                else:
+                    try:
+                        down = tuple(
+                            below[tuple(sorted(row[j] for j in local))]
+                            for local in subs[1]
+                        )
+                    except KeyError:
+                        raise ValueError(
+                            f"{type_info(etype).name} {tuple(row)}: a dim-"
+                            f"{dim - 1} boundary entity does not exist"
+                        ) from None
+                slot = pending[key] = len(new_rows)
+                new_rows.append(i)
+                new_down.append(down)
+            slots.append((i, slot))
+        flat = np.asarray([v for row in vert_rows for v in row], dtype=np.int64)
+        core = self.core
+        if len(flat) and (
+            flat.min() < 0
+            or flat.max() >= core.top[0]
+            or not core.alive[0][flat].all()
+        ):
+            raise ValueError("ensure_block row names a vertex that does not exist")
+        if classification is not None:
+            self._check_classes(dim, [classification[i] for i in new_rows])
+
+        ids = core.alloc_block(dim, len(new_rows))
+        rows = [vert_rows[i] for i in new_rows]
+        kinds = np.asarray([etypes[i] for i in new_rows], dtype=np.int16)
+        for etype in np.unique(kinds).tolist():
+            sel = np.nonzero(kinds == etype)[0]
+            core.write_rows(
+                dim,
+                ids[sel],
+                etype,
+                np.asarray([rows[k] for k in sel.tolist()], dtype=np.int32),
+                np.asarray([new_down[k] for k in sel.tolist()], dtype=np.int32),
+            )
+        new_ids = ids.tolist()
+        for key, slot in pending.items():
+            lookup[key] = new_ids[slot]
+        for i, slot in slots:
+            handles[i] = new_ids[slot]
+        created[new_rows] = True
+        core.bulk_add_up(
+            dim - 1,
+            np.asarray([d for down in new_down for d in down], dtype=np.int64),
+            np.repeat(ids, [len(down) for down in new_down]),
+        )
+        if classification is not None:
+            self._classify_rows(
+                dim, new_ids, [classification[i] for i in new_rows]
+            )
+        return np.asarray(handles, dtype=np.int64), created
+
+    @staticmethod
+    def _boundary_locals(dim: int, etype: int):
+        """``(vertex count, local vertex tuples of each dim-1 boundary
+        entity)`` of a ``dim``-dimensional type; raises on a type mismatch."""
+        info = type_info(etype)
+        if info.dim != dim:
+            raise ValueError(
+                f"type {info.name} has dim {info.dim}, block holds dim {dim}"
+            )
+        if dim == 2:
+            return info.nverts, info.edges
+        return info.nverts, tuple(local for _ftype, local in info.faces)
 
     def _build_downward(
         self, info: TypeInfo, vert_ids: Tuple[int, ...]
@@ -388,6 +541,24 @@ class Mesh:
 
     # -- classification ------------------------------------------------------
 
+    def _check_classes(
+        self, dim: int, classes: Sequence[Optional[ModelEntity]]
+    ) -> None:
+        for gent in classes:
+            if gent is not None and gent.dim < dim:
+                raise ValueError(
+                    f"a dim-{dim} entity cannot be classified on "
+                    f"lower-dimension {gent}"
+                )
+
+    def _classify_rows(
+        self, dim: int, ids: List[int], classes: Sequence[Optional[ModelEntity]]
+    ) -> None:
+        known = self._gclass[dim]
+        for idx, gent in zip(ids, classes):
+            if gent is not None:
+                known[idx] = gent
+
     def classification(self, ent: Ent) -> Optional[ModelEntity]:
         """Geometric classification of ``ent`` (None when unset)."""
         return self._gclass[ent.dim].get(ent.idx)
@@ -417,10 +588,53 @@ class Mesh:
                     f"vertex {vert} at {self.coords(vert)} lies outside the model"
                 )
             self.set_classification(vert, gent)
-        for dim in range(1, self.dim() + 1):
-            for ent in self.entities(dim):
-                gents = [self.classification(v) for v in self.verts_of(ent)]
-                self.set_classification(ent, classify_from_closure(model, gents))
+        for dim in range(1, 4):
+            self._gclass[dim].clear()
+        self.classify_missing()
+
+    def classify_missing(self) -> None:
+        """Classify, in bulk, every unclassified entity of dimension >= 1
+        whose vertices are all classified (others are skipped).
+
+        One pass per dimension over the core arrays: vertex
+        classifications become integer codes, each entity's vertex row
+        becomes a row of codes, and the closure rule runs once per distinct
+        code set (a lookup in the model's classification table), scattered
+        back to the entities sharing it.
+        """
+        model = self.model
+        if model is None:
+            return
+        core = self.core
+        vclass = self._gclass[0]
+        table = list(dict.fromkeys(vclass.values()))
+        code_of = {g: k for k, g in enumerate(table)}
+        codes = np.full(core.top[0] + 1, -1, dtype=np.int64)
+        codes[list(vclass)] = [code_of[g] for g in vclass.values()]
+        for dim in range(1, 4):
+            ids = core.live_ids(dim)
+            known = self._gclass[dim]
+            if known:
+                ids = ids[~np.isin(ids, list(known))]
+            if len(ids) == 0:
+                continue
+            rows = core.verts[dim][ids]
+            pad = np.arange(rows.shape[1]) >= core.nverts[dim][ids][:, None]
+            rows = codes[np.where(pad, rows[:, :1], rows)]
+            full = (rows >= 0).all(axis=1)
+            rows = np.sort(rows[full], axis=1)
+            uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+            found = [
+                classify_from_closure(model, [table[k] for k in row])
+                for row in uniq.tolist()
+            ]
+            self._check_classes(dim, found)
+            known.update(
+                zip(
+                    ids[full].tolist(),
+                    [found[k] for k in inverse.reshape(-1).tolist()],
+                )
+            )
 
     def classify_closure_missing(self, ent: Ent) -> None:
         """Fill missing classification on ``ent``'s closure (incl. itself).

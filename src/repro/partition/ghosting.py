@@ -364,10 +364,10 @@ def _unpack_ghost_batch(
 
     Returns ``(ghost elements created, their local handles)``; ``per_dim``
     accumulates every created entity (elements plus closure) per dimension.
-    All bundles in a coalesced buffer come from the same owner part, so the
-    before/after ghost classification runs once for the whole batch and the
-    mesh surgery goes through the deduplicating
-    :func:`~repro.partition.migration._unpack_batch`.
+    All bundles in a coalesced buffer come from the same owner part; the
+    mesh surgery goes through the bulk
+    :func:`~repro.partition.migration._unpack_batch`, and exactly the
+    entities it reports created become ghosts.
     """
     fresh = [
         b for b in bundles
@@ -375,17 +375,16 @@ def _unpack_ghost_batch(
     ]
     if not fresh:
         return 0, []
-    before = [part.gid_index_set(d) for d in range(4)]
-    elements = _unpack_batch(part, fresh)
+    elements, created = _unpack_batch(part, fresh)
     element_home = {
         element: bundle["home"]
         for bundle, element in zip(fresh, elements)
     }
     home_pid = fresh[0]["home"][0]
     for d in range(4):
-        for idx in part.gid_index_set(d) - before[d]:
+        per_dim[d] += len(created[d])
+        for idx in created[d]:
             ghost = Ent(d, idx)
-            per_dim[d] += 1
             part.ghosts.add(ghost)
             part.ghost_home[ghost] = element_home.get(
                 ghost, (home_pid, None)

@@ -42,12 +42,15 @@ tested against.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
+from ..gmodel.model import ModelEntity
 from ..mesh.entity import Ent
 from ..obs.stats import CommProbe, MigrateStats
 from ..obs.tracer import trace_span
-from ..parallel.codec import decode_int_rows, encode_int_rows
+from ..parallel.codec import CodecError, decode_int_rows, encode_int_rows
 from ..parallel.sf import BUNDLES, StarForest
 from .dmesh import DistributedMesh
 # ``entity_key`` is re-exported: it is public under this module's name.
@@ -174,32 +177,39 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
 
 
 def _pack_element(part: Part, element: Ent) -> dict:
-    """Closure bundle of one element, self-contained for reconstruction."""
+    """Closure bundle of one element, self-contained for reconstruction.
+
+    Rows are read straight off the core arrays; every closure entity's
+    vertices are among the element's, so vertex gids resolve through one
+    per-element map.
+    """
     mesh = part.mesh
-    verts = []
-    for v in mesh.adjacent(element, 0):
-        gent = mesh.classification(v)
-        verts.append(
-            (
-                part.gid(v),
-                tuple(mesh.coords(v)),
-                (gent.dim, gent.tag) if gent is not None else None,
-            )
-        )
+    core = mesh.core
+    core.check(element.dim, element.idx)
+    vids = core.verts_row(element.dim, element.idx)
+    vgids = part.gids_of(0, vids).tolist()
+    if min(vgids) < 0:
+        raise KeyError(f"part {part.pid}: a vertex of {element} has no global id")
+    gid_of = dict(zip(vids, vgids))
+    xyz = mesh.coords_view()[list(vids)].tolist()
+    verts = [
+        (gid, tuple(point), _class_ref(mesh, Ent(0, v)))
+        for v, gid, point in zip(vids, vgids, xyz)
+    ]
     mids = []
     for d in range(1, element.dim):
-        for ent in mesh.adjacent(element, d):
-            gent = mesh.classification(ent)
+        ents = mesh.adjacent(element, d)
+        gids = part.gids_of(d, [e.idx for e in ents]).tolist()
+        for ent, gid in zip(ents, gids):
             mids.append(
                 (
                     d,
-                    part.gid(ent) if part.has_gid(ent) else None,
-                    mesh.etype(ent),
-                    tuple(part.gid(v) for v in mesh.verts_of(ent)),
-                    (gent.dim, gent.tag) if gent is not None else None,
+                    gid if gid >= 0 else None,
+                    int(core.etype[d][ent.idx]),
+                    tuple(gid_of[v] for v in core.verts_row(d, ent.idx)),
+                    _class_ref(mesh, ent),
                 )
             )
-    gent = mesh.classification(element)
     return {
         "verts": verts,
         "mids": mids,
@@ -207,80 +217,93 @@ def _pack_element(part: Part, element: Ent) -> dict:
             element.dim,
             part.gid(element),
             mesh.etype(element),
-            tuple(part.gid(v) for v in mesh.verts_of(element)),
-            (gent.dim, gent.tag) if gent is not None else None,
+            tuple(vgids),
+            _class_ref(mesh, element),
         ),
     }
 
 
-def _model_entity(part: Part, ref):
-    if ref is None:
-        return None
-    from ..gmodel.model import ModelEntity
-
-    return ModelEntity(ref[0], ref[1])
+def _class_ref(mesh, ent: Ent):
+    gent = mesh.classification(ent)
+    return (gent.dim, gent.tag) if gent is not None else None
 
 
-def _ensure_entity(part: Part, d: int, gid, etype: int, vert_gids,
-                   gclass) -> Ent:
-    """Find-or-create one non-vertex entity from its bundle row."""
-    mesh = part.mesh
-    local_verts = []
-    for vg in vert_gids:
-        lv = part.by_gid(0, vg)
-        assert lv is not None, f"bundle vertex gid {vg} missing"
-        local_verts.append(lv)
-    existing = mesh.find(d, local_verts)
-    if existing is not None:
-        # Identity is the vertex-gid tuple (already matched by find);
-        # intermediate-entity gids are advisory bookkeeping, so adopt
-        # the bundle's gid only when the local entity lacks one and the
-        # gid is still free.
-        if (
-            gid is not None
-            and not part.has_gid(existing)
-            and part.by_gid(d, gid) is None
-        ):
-            part.set_gid(existing, gid)
-        return existing
-    created = mesh.create(etype, local_verts, _model_entity(part, gclass))
-    if gid is not None and part.by_gid(d, gid) is None:
-        part.set_gid(created, gid)
-    return created
+def _unpack_batch(part: Part, bundles) -> Tuple[List[Ent], List[List[int]]]:
+    """Apply one decoded element batch in bulk.
 
+    Returns the elements in bundle order and, per dimension, the handles
+    the batch created.  The batch's unique rows are built a block at a
+    time: the new vertices, then one :meth:`~repro.mesh.mesh.Mesh.ensure_block`
+    per dimension over the intermediate rows (in ``(dim, vertex gids)``
+    order), then the elements; shipped gids are adopted afterwards by
+    :meth:`~repro.partition.part.Part.adopt_gids`.  Decoded batches intern
+    shared closure rows (the codec ships each unique vertex/edge/face once
+    per buffer), so each row is found-or-created once per batch.
 
-def _unpack_batch(part: Part, bundles) -> List[Ent]:
-    """Apply one decoded element batch; returns the elements, bundle order.
-
-    Decoded batches intern shared closure rows (the codec ships each unique
-    vertex/edge/face once per buffer), so this path finds-or-creates each
-    unique row once per batch instead of once per element bundle — the
-    find/create surgery dominates unpack cost, and neighboring elements
-    migrated together share most of their closure.
+    A bundle naming a vertex gid it does not carry, or a malformed row
+    (wrong vertex count for its type, repeated vertices, a type of the
+    wrong dimension, a missing boundary entity), raises
+    :class:`~repro.parallel.codec.CodecError`: bundles come off the wire.
     """
     mesh = part.mesh
-    seen_gids = set()
+    created: List[List[int]] = [[], [], [], []]
+    by_gid = part.handles_by_gid(0)
+    fresh = {}
     for bundle in bundles:
         for gid, coords, gclass in bundle["verts"]:
-            if gid in seen_gids:
-                continue
-            seen_gids.add(gid)
-            if part.by_gid(0, gid) is None:
-                v = mesh.create_vertex(coords, _model_entity(part, gclass))
-                part.set_gid(v, gid)
-    seen_rows = set()
-    mids = []
-    for bundle in bundles:
-        for row in bundle["mids"]:
-            if row not in seen_rows:
-                seen_rows.add(row)
-                mids.append(row)
-    mids.sort(key=lambda m: (m[0], m[3]))
-    for d, gid, etype, vert_gids, gclass in mids:
-        _ensure_entity(part, d, gid, etype, vert_gids, gclass)
-    return [
-        _ensure_entity(part, *bundle["element"]) for bundle in bundles
-    ]
+            if gid not in fresh and gid not in by_gid:
+                fresh[gid] = (coords, gclass)
+    try:
+        ids = mesh.create_vertices(
+            [coords for coords, _gclass in fresh.values()],
+            [None if gclass is None else ModelEntity(*gclass)
+             for _coords, gclass in fresh.values()],
+        ).tolist()
+        part.adopt_gids(0, ids, list(fresh))
+        created[0].extend(ids)
+
+        mids = sorted(
+            dict.fromkeys(row for bundle in bundles for row in bundle["mids"]),
+            key=lambda m: (m[0], m[3]),
+        )
+        for d, rows in groupby(mids, key=itemgetter(0)):
+            _ensure_rows(part, d, list(rows), created)
+        elements: List[Ent] = [None] * len(bundles)
+        rows = [bundle["element"] for bundle in bundles]
+        for d in sorted({row[0] for row in rows}):
+            at = [k for k, row in enumerate(rows) if row[0] == d]
+            handles = _ensure_rows(part, d, [rows[k] for k in at], created)
+            for k, idx in zip(at, handles):
+                elements[k] = Ent(d, idx)
+    except CodecError:
+        raise
+    except ValueError as exc:
+        raise CodecError(
+            f"part {part.pid}: malformed element bundle: {exc}"
+        ) from exc
+    return elements, created
+
+
+def _ensure_rows(part: Part, d: int, rows, created: List[List[int]]) -> List[int]:
+    """Find-or-create bundle rows ``(d, gid, etype, vertex gids, class)``
+    of one dimension; returns their handles, recording the new ones."""
+    by_gid = part.handles_by_gid(0)
+    try:
+        local = [[by_gid[g] for g in row[3]] for row in rows]
+    except KeyError as exc:
+        raise CodecError(
+            f"part {part.pid}: bundle vertex gid {exc.args[0]} missing"
+        ) from None
+    handles, new = part.mesh.ensure_block(
+        d,
+        [row[2] for row in rows],
+        local,
+        [None if row[4] is None else ModelEntity(*row[4]) for row in rows],
+    )
+    handles = handles.tolist()
+    part.adopt_gids(d, handles, [row[1] for row in rows])
+    created[d].extend(h for h, is_new in zip(handles, new.tolist()) if is_new)
+    return handles
 
 
 def _remove_element(part: Part, element: Ent) -> None:

@@ -132,6 +132,25 @@ class Part:
 
     # -- batch gid access ------------------------------------------------------
 
+    def handles_by_gid(self, dim: int) -> Dict[int, int]:
+        """The gid -> handle map of ``dim`` (read-only: do not mutate)."""
+        return self._by_gid[dim]
+
+    def adopt_gids(self, dim: int, handles: List[int], gids: List) -> None:
+        """Give ``handles[k]`` the global id ``gids[k]``, row by row, when
+        the gid is not None, the entity has none yet and no entity of
+        ``dim`` holds the gid — the receive-side rule for shipped gids
+        (identity is the vertex-gid tuple; other gids are advisory)."""
+        by_gid = self._by_gid[dim]
+        if handles:
+            self._gid_col(dim, max(handles))
+        col = self._gid_arr[dim]
+        for idx, gid in zip(handles, gids):
+            if gid is None or gid in by_gid or col[idx] != _UNSET:
+                continue
+            col[idx] = gid
+            by_gid[gid] = idx
+
     def gid_array(self, dim: int) -> np.ndarray:
         """The raw gid column for ``dim`` (handle-indexed; -1 = unset)."""
         need = self.mesh.core.top[dim]

@@ -728,8 +728,7 @@ class SnapshotStore:
                         mesh.set_classification(
                             Ent(0, local), ModelEntity(gdim, gtag)
                         )
-                for element in mesh.entities(mesh.dim()):
-                    mesh.classify_closure_missing(element)
+                mesh.classify_missing()
         _restore_intermediate_gids(dmesh)
         rebuild_links(dmesh)
 
@@ -790,9 +789,9 @@ def _restore_intermediate_gids(dmesh: DistributedMesh) -> None:
 
     Snapshots persist gids only for vertices and elements; edges (and
     faces, in 3D) are re-derived from connectivity.  Distributed services
-    assume *every* entity carries a gid — ghosting, for one, detects the
-    entities an element bundle created by diffing the gid table — so a
-    load must re-establish that invariant.  Gids are assigned from the
+    assume *every* entity carries a gid — ghosting, for one, resolves a
+    ring-front entity at its home part by gid — so a load must
+    re-establish that invariant.  Gids are assigned from the
     sorted vertex-gid keys: the same shared entity gets the same gid on
     every holding part, distinct entities get distinct gids, and the result
     is independent of part count and local numbering.

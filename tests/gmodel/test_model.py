@@ -113,3 +113,39 @@ def test_check_detects_dangling_entity():
     model.add(1, 0)  # an edge with no boundary vertices
     with pytest.raises(AssertionError):
         model.check()
+
+
+def test_caches_follow_topology_changes():
+    """Closure sets, sorted entity tuples and the classification table are
+    cached; add/add_adjacency must drop them when they change the answer."""
+    from repro.gmodel import (
+        BoxShape,
+        PointShape,
+        classify_from_closure,
+        classify_point,
+    )
+
+    model = Model()
+    v0, v1 = model.add(0, 0), model.add(0, 1)
+    e0, e1 = model.add(1, 0), model.add(1, 1)
+    face = model.add(2, 0)
+    model.add_adjacency(e0, v0)
+    model.add_adjacency(e1, v1)
+    model.add_adjacency(face, e0)
+    model.add_adjacency(face, e1)
+    assert classify_from_closure(model, [v0, v1]) == face
+    assert model.closure_set(e0) == {e0, v0}
+
+    # e0 now spans both vertices: it covers the set before the face does.
+    model.add_adjacency(e0, v1)
+    assert model.closure_set(e0) == {e0, v0, v1}
+    assert classify_from_closure(model, [v0, v1]) == e0
+
+    # A vertex added at a point the face's shape contains takes it over.
+    model.set_shape(face, BoxShape([0.0, 0.0], [1.0, 1.0]))
+    assert classify_point(model, [0.5, 0.5]) == face
+    assert list(model.entities(0)) == [v0, v1]
+    v2 = model.add(0, 2)
+    model.set_shape(v2, PointShape([0.5, 0.5]))
+    assert list(model.entities(0)) == [v0, v1, v2]
+    assert classify_point(model, [0.5, 0.5]) == v2

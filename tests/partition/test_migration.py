@@ -210,3 +210,70 @@ def test_empty_plan_is_noop(dm):
     before = dm.entity_counts().copy()
     assert migrate(dm, {}).elements_moved == 0
     assert np.array_equal(dm.entity_counts(), before)
+
+
+# -- hostile bundles ---------------------------------------------------------
+#
+# Element bundles come off the wire, so a malformed one must raise the
+# codec's typed error on the receiving part, whichever row is bad.
+
+
+def _hostile(dm, edit):
+    """Pack one of part 0's elements, let ``edit`` damage the bundle, and
+    unpack it on part 3 (which shares no vertex with it)."""
+    from repro.partition.migration import _pack_element, _unpack_batch
+
+    element = sorted(dm.part(0).mesh.entities(2))[0]
+    bundle = _pack_element(dm.part(0), element)
+    edit(bundle)
+    _unpack_batch(dm.part(3), [bundle])
+
+
+def _element_verts(bundle, vert_gids):
+    d, gid, etype, _verts, gclass = bundle["element"]
+    bundle["element"] = (d, gid, etype, tuple(vert_gids), gclass)
+
+
+def test_unpack_rejects_missing_vertex_gid(dm):
+    from repro.parallel.codec import CodecError
+
+    def edit(bundle):
+        verts = bundle["element"][3]
+        _element_verts(bundle, (10**9,) + verts[1:])
+
+    with pytest.raises(CodecError, match="vertex gid 1000000000 missing"):
+        _hostile(dm, edit)
+
+
+def test_unpack_rejects_repeated_vertices(dm):
+    from repro.parallel.codec import CodecError
+
+    def edit(bundle):
+        verts = bundle["element"][3]
+        _element_verts(bundle, (verts[0], verts[0], verts[1]))
+
+    with pytest.raises(CodecError, match="repeated vertices"):
+        _hostile(dm, edit)
+
+
+def test_unpack_rejects_vertex_count_mismatch(dm):
+    from repro.parallel.codec import CodecError
+
+    def edit(bundle):
+        gid, xyz, gclass = bundle["verts"][0]
+        bundle["verts"].append((10**9, (xyz[0] + 1.0, xyz[1], xyz[2]), gclass))
+        _element_verts(bundle, bundle["element"][3] + (10**9,))
+
+    with pytest.raises(CodecError, match="needs 3 vertices"):
+        _hostile(dm, edit)
+
+
+def test_unpack_rejects_mid_row_of_wrong_dimension(dm):
+    from repro.parallel.codec import CodecError
+
+    def edit(bundle):
+        d, gid, _etype, verts, gclass = bundle["mids"][0]
+        bundle["mids"][0] = (d, gid, 2, verts, gclass)  # a TRI code on an edge
+
+    with pytest.raises(CodecError, match="has dim 2"):
+        _hostile(dm, edit)

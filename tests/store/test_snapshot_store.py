@@ -234,3 +234,67 @@ def test_install_current_uninstall():
     finally:
         uninstall_cache()
     assert current_cache() is None
+
+
+# -- bulk classification on load --------------------------------------------
+
+
+def _cylinder_mesh(ring=8, layers=3):
+    """A tet mesh of the unit cylinder classified against ``cylinder_model``.
+
+    Each layer is a fan of wedges around the axis, every wedge split into
+    three tets that all touch the axis, so no element lies flat on the
+    curved wall.
+    """
+    from repro.gmodel import cylinder_model
+    from repro.mesh import TET, from_connectivity
+
+    angles = 2 * np.pi * np.arange(ring) / ring
+    xyz, tets = [], []
+    for k in range(layers + 1):
+        z = k / layers
+        xyz.append((0.0, 0.0, z))
+        xyz.extend((np.cos(a), np.sin(a), z) for a in angles)
+    stride = ring + 1
+    for k in range(layers):
+        c0, c1 = k * stride, (k + 1) * stride
+        for j in range(ring):
+            a0, b0 = c0 + 1 + j, c0 + 1 + (j + 1) % ring
+            a1, b1 = a0 + stride, b0 + stride
+            tets += [(c0, a0, b0, c1), (a0, b0, a1, c1), (b0, b1, a1, c1)]
+    return from_connectivity(
+        np.array(xyz), np.array(tets), TET, model=cylinder_model(),
+        classify=True,
+    )
+
+
+def _box_mesh():
+    from repro.mesh import box_tet
+
+    return box_tet(3)
+
+
+def _classify_per_element(mesh):
+    """The per-element loop load used to run: every element's closure,
+    element by element, through the closure rule."""
+    for element in mesh.entities(mesh.dim()):
+        mesh.classify_closure_missing(element)
+
+
+@pytest.mark.parametrize("make", [_box_mesh, _cylinder_mesh])
+def test_load_classification_matches_per_element_loop(tmp_path, make):
+    mesh = make()
+    count = mesh.count(3)
+    dm = distribute(mesh, [4 * i // count for i in range(count)])
+    store = SnapshotStore(tmp_path / "st")
+    store.save(dm)
+    loaded, _, _ = store.load_at(nparts=3, model=mesh.model)
+    loaded.verify()
+    for part in loaded:
+        got = [dict(part.mesh._gclass[d]) for d in range(4)]
+        assert all(got[d] for d in range(4))
+        for d in (1, 2, 3):
+            part.mesh._gclass[d].clear()
+        mesh.model.classify_memo.clear()
+        _classify_per_element(part.mesh)
+        assert got == [dict(part.mesh._gclass[d]) for d in range(4)]
